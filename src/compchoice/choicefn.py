@@ -23,11 +23,6 @@ from .errors import (
     PreconditionError,
 )
 
-# Below this many menus plain loops beat array overhead; above it the pair
-# sweeps run as chunked numpy scans. Both paths visit pairs in the same
-# order, so the first witness found is identical regardless of partitioning.
-_NUMPY_MIN_MASKS = 512
-
 AXIOMS = (
     "consistent",
     "monotone",
@@ -147,7 +142,7 @@ class ChoiceFunction:
 
     @cached_property
     def _np_table(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=np.uint32)
+        return np.asarray(self.table, dtype=np.int64)
 
     @cached_property
     def analysis(self) -> AxiomReport:
@@ -165,55 +160,58 @@ def analyze(f: ChoiceFunction) -> AxiomReport:
 # ---------------------------------------------------------------------------
 # quantifier sweeps
 #
-# Each sweep returns the first violating instance in lexicographic-by-mask
-# order, or None. The numpy variants scan the same (A, B) grid in the same
-# row-major order in chunks, so witnesses agree across both paths.
+# Every pair sweep is one predicate handed to ``_first_violation``, which
+# scans the (A, B) grid in row-major mask order, so each witness is the
+# first violation with menus ordered by ascending bitmask. Inclusion X <= Y
+# is written (X | Y) == Y.
+
+# A sweep's first block holds about this many cells, and each later block
+# twice as many up to the cap: an early witness costs one small block, a
+# full sweep a few large ones, and memory stays bounded at any n.
+_FIRST_BLOCK_CELLS = 1 << 12
+_MAX_BLOCK_CELLS = 1 << 16
+
+
+def _first_violation(
+    t: np.ndarray, bad: Callable[..., np.ndarray]
+) -> tuple[int, int] | None:
+    """First (A, B) in row-major mask order with ``bad(a, ta, b, tb, t)``.
+
+    ``t`` holds one value per mask (int64, or object for exact big ints);
+    ``a`` and ``ta`` are a column of row masks and their values, ``b`` and
+    ``tb`` every mask and value as a row, so ``t[a | b]`` and the like
+    index the table elementwise. ``bad`` must return the full boolean
+    block, one cell per (A, B).
+    """
+    n_masks = len(t)
+    a, ta = np.arange(n_masks, dtype=np.int64)[:, None], t[:, None]
+    b, tb = a.T, ta.T
+    rows = max(1, _FIRST_BLOCK_CELLS // n_masks)
+    max_rows = max(1, _MAX_BLOCK_CELLS // n_masks)
+    start = 0
+    while start < n_masks:
+        hit = bad(a[start : start + rows], ta[start : start + rows], b, tb, t)
+        k = int(hit.argmax())
+        if hit.flat[k]:
+            return start + k // n_masks, k % n_masks
+        start += rows
+        rows = min(2 * rows, max_rows)
+    return None
 
 
 def _consistency_violation(f: ChoiceFunction) -> tuple[int, int] | None:
     """First (A, B) with f(A) <= B <= A but f(B) != f(A)."""
-    t = f.table
-    n_masks = len(t)
-    if n_masks < _NUMPY_MIN_MASKS:
-        for a in range(n_masks):
-            fa = t[a]
-            for b in range(n_masks):
-                if fa & ~b == 0 and b & ~a == 0 and t[b] != fa:
-                    return a, b
-        return None
-    tn = f._np_table
-    masks = np.arange(n_masks, dtype=np.uint32)
-    for start, stop in _chunks(n_masks):
-        a = masks[start:stop, None]
-        ta = tn[start:stop, None]
-        bad = ((ta & ~masks[None, :]) == 0) & ((masks[None, :] & ~a) == 0) & (tn[None, :] != ta)
-        hit = _first_true(bad)
-        if hit is not None:
-            return start + hit[0], hit[1]
-    return None
+    return _first_violation(
+        f._np_table,
+        lambda a, ta, b, tb, t: ((ta | b) == b) & ((a | b) == a) & (tb != ta),
+    )
 
 
 def _monotonicity_violation(f: ChoiceFunction) -> tuple[int, int] | None:
     """First (A, B) with A <= B but f(A) not within f(B)."""
-    t = f.table
-    n_masks = len(t)
-    if n_masks < _NUMPY_MIN_MASKS:
-        for a in range(n_masks):
-            fa = t[a]
-            for b in range(n_masks):
-                if a & ~b == 0 and fa & ~t[b]:
-                    return a, b
-        return None
-    tn = f._np_table
-    masks = np.arange(n_masks, dtype=np.uint32)
-    for start, stop in _chunks(n_masks):
-        a = masks[start:stop, None]
-        ta = tn[start:stop, None]
-        bad = ((a & ~masks[None, :]) == 0) & ((ta & ~tn[None, :]) != 0)
-        hit = _first_true(bad)
-        if hit is not None:
-            return start + hit[0], hit[1]
-    return None
+    return _first_violation(
+        f._np_table, lambda a, ta, b, tb, t: ((a | b) == b) & ((ta | tb) != tb)
+    )
 
 
 def _idempotency_violation(f: ChoiceFunction) -> int | None:
@@ -226,187 +224,91 @@ def _idempotency_violation(f: ChoiceFunction) -> int | None:
 
 def _subadditivity_violation(f: ChoiceFunction) -> tuple[int, int] | None:
     """First (A, B) with f(A | B) not within f(A) | f(B)."""
-    t = f.table
-    n_masks = len(t)
-    if n_masks < _NUMPY_MIN_MASKS:
-        for a in range(n_masks):
-            fa = t[a]
-            for b in range(n_masks):
-                if t[a | b] & ~(fa | t[b]):
-                    return a, b
-        return None
-    tn = f._np_table
-    masks = np.arange(n_masks, dtype=np.uint32)
-    for start, stop in _chunks(n_masks):
-        a = masks[start:stop, None]
-        ta = tn[start:stop, None]
-        tu = tn[a | masks[None, :]]
-        bad = (tu & ~(ta | tn[None, :])) != 0
-        hit = _first_true(bad)
-        if hit is not None:
-            return start + hit[0], hit[1]
-    return None
+    return _first_violation(
+        f._np_table, lambda a, ta, b, tb, t: (t[a | b] & ~(ta | tb)) != 0
+    )
 
 
 def _superadditivity_violation(f: ChoiceFunction) -> tuple[int, int] | None:
     """First (A, B) with f(A) | f(B) not within f(A | B)."""
-    t = f.table
-    n_masks = len(t)
-    if n_masks < _NUMPY_MIN_MASKS:
-        for a in range(n_masks):
-            fa = t[a]
-            for b in range(n_masks):
-                if (fa | t[b]) & ~t[a | b]:
-                    return a, b
-        return None
-    tn = f._np_table
-    masks = np.arange(n_masks, dtype=np.uint32)
-    for start, stop in _chunks(n_masks):
-        a = masks[start:stop, None]
-        ta = tn[start:stop, None]
-        tu = tn[a | masks[None, :]]
-        bad = ((ta | tn[None, :]) & ~tu) != 0
-        hit = _first_true(bad)
-        if hit is not None:
-            return start + hit[0], hit[1]
-    return None
+    return _first_violation(
+        f._np_table, lambda a, ta, b, tb, t: ((ta | tb) & ~t[a | b]) != 0
+    )
 
 
 def _heredity_violation(f: ChoiceFunction) -> tuple[int, int] | None:
     """First (A, B) with A <= B but f(B) & A not within f(A)."""
-    t = f.table
-    n_masks = len(t)
-    if n_masks < _NUMPY_MIN_MASKS:
-        for a in range(n_masks):
-            fa = t[a]
-            for b in range(n_masks):
-                if a & ~b == 0 and t[b] & a & ~fa:
-                    return a, b
-        return None
-    tn = f._np_table
-    masks = np.arange(n_masks, dtype=np.uint32)
-    for start, stop in _chunks(n_masks):
-        a = masks[start:stop, None]
-        ta = tn[start:stop, None]
-        bad = ((a & ~masks[None, :]) == 0) & ((tn[None, :] & a & ~ta) != 0)
-        hit = _first_true(bad)
-        if hit is not None:
-            return start + hit[0], hit[1]
-    return None
+    return _first_violation(
+        f._np_table, lambda a, ta, b, tb, t: ((a | b) == b) & ((tb & a & ~ta) != 0)
+    )
 
 
 def _meet_preservation_violation(f: ChoiceFunction) -> tuple[int, int] | None:
     """First (A, B) with f(A & B) != f(A) & f(B)."""
-    t = f.table
-    n_masks = len(t)
-    if n_masks < _NUMPY_MIN_MASKS:
-        for a in range(n_masks):
-            fa = t[a]
-            for b in range(n_masks):
-                if t[a & b] != fa & t[b]:
-                    return a, b
-        return None
-    tn = f._np_table
-    masks = np.arange(n_masks, dtype=np.uint32)
-    for start, stop in _chunks(n_masks):
-        a = masks[start:stop, None]
-        ta = tn[start:stop, None]
-        bad = tn[a & masks[None, :]] != (ta & tn[None, :])
-        hit = _first_true(bad)
-        if hit is not None:
-            return start + hit[0], hit[1]
-    return None
-
-
-def _chunks(n_masks: int) -> Iterator[tuple[int, int]]:
-    block = max(1, (1 << 22) // n_masks)
-    for start in range(0, n_masks, block):
-        yield start, min(start + block, n_masks)
-
-
-def _first_true(bad: np.ndarray) -> tuple[int, int] | None:
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        return int(i), int(j)
-    return None
+    return _first_violation(
+        f._np_table, lambda a, ta, b, tb, t: t[a & b] != (ta & tb)
+    )
 
 
 def _compute_report(f: ChoiceFunction) -> AxiomReport:
     ground = f.ground
-    n_masks = ground.n_masks
+    full = ground.n_masks - 1
 
-    def sub(mask: int) -> Subset:
-        return Subset(ground, mask)
+    def pair(hit: tuple[int, int], element: str | None = None) -> Witness:
+        return Witness("pair", (Subset(ground, hit[0]), Subset(ground, hit[1])), element)
 
+    # in AXIOMS order, which the witnesses keep
+    hits = {
+        "consistent": _consistency_violation(f),
+        "monotone": _monotonicity_violation(f),
+        "idempotent": _idempotency_violation(f),
+        "subadditive": _subadditivity_violation(f),
+        "superadditive": _superadditivity_violation(f),
+        "substitutable_heredity": _heredity_violation(f),
+    }
     witnesses: dict[str, Witness] = {}
+    for axiom, hit in hits.items():
+        if hit is None:
+            continue
+        if axiom == "idempotent":
+            witnesses[axiom] = Witness("menu", (Subset(ground, hit),))
+        elif axiom == "substitutable_heredity":
+            a, b = hit
+            offending = f.table[b] & a & ~f.table[a]
+            name = ground.elements[(offending & -offending).bit_length() - 1]
+            witnesses[axiom] = pair(hit, name)
+        else:
+            witnesses[axiom] = pair(hit)
+    holds = {axiom: hit is None for axiom, hit in hits.items()}
 
-    w_cons = _consistency_violation(f)
-    if w_cons is not None:
-        witnesses["consistent"] = Witness("pair", (sub(w_cons[0]), sub(w_cons[1])))
-    w_mono = _monotonicity_violation(f)
-    if w_mono is not None:
-        witnesses["monotone"] = Witness("pair", (sub(w_mono[0]), sub(w_mono[1])))
-    w_idem = _idempotency_violation(f)
-    if w_idem is not None:
-        witnesses["idempotent"] = Witness("menu", (sub(w_idem),))
-    w_subadd = _subadditivity_violation(f)
-    if w_subadd is not None:
-        witnesses["subadditive"] = Witness("pair", (sub(w_subadd[0]), sub(w_subadd[1])))
-    w_superadd = _superadditivity_violation(f)
-    if w_superadd is not None:
-        witnesses["superadditive"] = Witness("pair", (sub(w_superadd[0]), sub(w_superadd[1])))
-    w_her = _heredity_violation(f)
-    if w_her is not None:
-        a, b = w_her
-        offending = f.table[b] & a & ~f.table[a]
-        name = ground.elements[(offending & -offending).bit_length() - 1]
-        witnesses["substitutable_heredity"] = Witness("pair", (sub(a), sub(b)), element=name)
-
-    consistent = w_cons is None
-    monotone = w_mono is None
-    superadditive = w_superadd is None
     # superadditivity and monotonicity are equivalent for contracting maps;
     # the two sweeps are independent implementations and must agree.
-    if superadditive != monotone:
+    if holds["superadditive"] != holds["monotone"]:
         raise InternalInvariantError(
             "superadditivity sweep disagrees with monotonicity sweep"
         )
 
-    complementary = consistent and monotone
-    if not complementary:
-        witnesses["complementary"] = (
-            witnesses["consistent"] if not consistent else witnesses["monotone"]
-        )
+    consistent = holds["consistent"]
+    holds["complementary"] = consistent and holds["monotone"]
+    if not holds["complementary"]:
+        witnesses["complementary"] = witnesses.get("consistent") or witnesses["monotone"]
 
     # Complete complementarity: preservation of intersections of arbitrary
     # families of menus. Pairwise preservation gives every finite nonempty
     # family by induction; the empty family has intersection X on both
     # sides, which forces f(X) = X. Consistency is part of the definition
     # and does not follow from the rest.
-    full_ok = f.table[n_masks - 1] == n_masks - 1
+    full_ok = f.table[full] == full
     w_meet = _meet_preservation_violation(f)
-    completely = consistent and full_ok and w_meet is None
-    if not completely:
-        if not consistent:
-            witnesses["completely_complementary"] = witnesses["consistent"]
-        elif not full_ok:
-            witnesses["completely_complementary"] = Witness("full_menu", (sub(n_masks - 1),))
-        else:
-            witnesses["completely_complementary"] = Witness(
-                "pair", (sub(w_meet[0]), sub(w_meet[1]))
-            )
+    holds["completely_complementary"] = consistent and full_ok and w_meet is None
+    if not consistent:
+        witnesses["completely_complementary"] = witnesses["consistent"]
+    elif not full_ok:
+        witnesses["completely_complementary"] = Witness("full_menu", (Subset(ground, full),))
+    elif w_meet is not None:
+        witnesses["completely_complementary"] = pair(w_meet)
 
-    return AxiomReport(
-        consistent=consistent,
-        monotone=monotone,
-        idempotent=w_idem is None,
-        subadditive=w_subadd is None,
-        superadditive=superadditive,
-        substitutable_heredity=w_her is None,
-        complementary=complementary,
-        completely_complementary=completely,
-        witnesses=witnesses,
-    )
+    return AxiomReport(**holds, witnesses=witnesses)
 
 
 def witness_violates(f: ChoiceFunction, axiom: str, witness: Witness) -> bool:

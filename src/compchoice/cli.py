@@ -3,7 +3,7 @@
 Exit codes are stable: 0 when everything requested holds, 1 for a semantic
 failure (a refuted expectation or an unmet route precondition, with a
 witness in the report), 2 for unusable input, 3 for a breach of an
-invariant the mathematics guarantees (never a warning).
+invariant the mathematics guarantees (never a warning) or any other crash.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from .supermod import (
     default_epsilon,
     induce_cf,
     is_supermodular_order,
+    _least_maximizer_table,
     order_from_setfn,
     perturb,
     synthesize,
@@ -74,8 +75,6 @@ EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-DEFAULT_SEED = 20110
 
 _EXPECT_ALIASES = {
     "substitutable": "substitutable_heredity",
@@ -91,7 +90,6 @@ class RunConfig:
 
     max_n: int | None = None
     epsilon: Fraction | None = None
-    seed: int = DEFAULT_SEED
     output: str | None = None
     format: str = "human"
 
@@ -502,30 +500,13 @@ def cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
 # search
 
 
+# The submodular-not-substitutable scan builds every candidate value table
+# at once, (value_max + 1)^(2^n) rows of int16; larger requests are refused.
+_SEARCH_MAX_ROWS = 1 << 21
+
+
 def _search_ground(n: int) -> GroundSet:
     return GroundSet(tuple("abcdefgh"[:n]))
-
-
-def _induce_ints(vals: Sequence[int], n_masks: int) -> list[int] | None:
-    table = []
-    for m in range(n_masks):
-        best = None
-        inter = None
-        sub = m
-        while True:
-            v = vals[sub]
-            if best is None or v > best:
-                best = v
-                inter = sub
-            elif v == best:
-                inter &= sub
-            if sub == 0:
-                break
-            sub = (sub - 1) & m
-        if vals[inter] != best:
-            return None
-        table.append(inter)
-    return table
 
 
 def _first_heredity_violation(table: Sequence[int], n_masks: int) -> tuple[int, int] | None:
@@ -558,8 +539,8 @@ def _search_submodular_not_substitutable(
     found = 0
     for t in np.nonzero(~viol)[0]:
         vals = [int(v) for v in table[t]]
-        induced = _induce_ints(vals, n_masks)
-        if induced is None:
+        induced, failed_at = _least_maximizer_table(vals)
+        if failed_at is not None:
             continue
         wit = _first_heredity_violation(induced, n_masks)
         if wit is None:
@@ -640,7 +621,15 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> int:
         return EXIT_INPUT
     limit = args.limit
     if args.pattern == "submodular-not-substitutable":
-        found, matches = _search_submodular_not_substitutable(n, args.value_max, limit)
+        vmax = args.value_max
+        rows = (vmax + 1) ** (1 << n)
+        if not 0 <= vmax <= np.iinfo(np.int16).max or rows > _SEARCH_MAX_ROWS:
+            _emit(
+                f"error: --value-max {vmax} at n={n} is refused: it must fit int16 and "
+                f"give at most {_SEARCH_MAX_ROWS} candidate tables, (value_max+1)^(2^n)"
+            )
+            return EXIT_INPUT
+        found, matches = _search_submodular_not_substitutable(n, vmax, limit)
     elif args.pattern == "supermodular-order-violation":
         found, matches = _search_order_violations(n, limit)
     elif args.pattern == "custom-predicate":
@@ -659,7 +648,6 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> int:
                     "kind": "search_report",
                     "pattern": args.pattern,
                     "n": n,
-                    "seed": config.seed,
                     "found": found,
                     "stopped_at_limit": truncated,
                     "matches": matches,
@@ -672,7 +660,7 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> int:
         for m in matches:
             _emit(json.dumps(m, ensure_ascii=False))
         tail = " (stopped at limit)" if truncated else ""
-        _emit(f"pattern {args.pattern} at n={n}: {found} match(es){tail} [seed {config.seed}]")
+        _emit(f"pattern {args.pattern} at n={n}: {found} match(es){tail}")
     return EXIT_OK
 
 
@@ -716,9 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--max-n", type=int, default=None, help="override the powerset-table cap"
-    )
-    common.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="seed for randomized runs"
     )
     common.add_argument("-o", "--output", default=None, help="write the result here")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -804,7 +789,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = RunConfig(
             max_n=args.max_n,
             epsilon=epsilon,
-            seed=args.seed,
             output=args.output,
             format=args.format,
         )
@@ -828,6 +812,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CompChoiceError as exc:
         _emit(f"semantic failure: {exc}")
         return EXIT_SEMANTIC
+    except Exception as exc:
+        # a crash must not read as exit 1, a refuted expectation
+        detail = str(exc).replace("\n", " ")
+        _emit(f"internal error: {type(exc).__name__}: {detail}")
+        return EXIT_INTERNAL
     finally:
         set_powerset_limit(previous_limit)
 

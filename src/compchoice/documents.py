@@ -46,6 +46,15 @@ def _expect_names(val: Any, where: str) -> list[str]:
     return val
 
 
+def _expect_pair(val: Any, message: str, names: int = 2) -> list:
+    """A two-entry array whose first ``names`` entries are names."""
+    if not isinstance(val, list) or len(val) != 2 or not all(
+        isinstance(x, str) for x in val[:names]
+    ):
+        _fail(message)
+    return val
+
+
 def _load_ground(doc: Mapping, key: str = "ground") -> GroundSet:
     names = _expect_names(_expect_list(doc, key), key)
     try:
@@ -155,9 +164,8 @@ def preorder_from_doc(doc: Mapping, *, require_closed: bool = False) -> Preorder
     raw = _expect_list(doc, "pairs")
     pairs = []
     for i, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            _fail(f"pairs[{i}] must be a [y, x] array meaning y <= x")
-        pairs.append((pair[0], pair[1]))
+        msg = f"pairs[{i}] must be a [y, x] array of names meaning y <= x"
+        pairs.append(tuple(_expect_pair(pair, msg)))
     try:
         return Preorder.from_pairs(tuple(carrier), pairs, close=not require_closed)
     except ValueError as exc:
@@ -177,9 +185,8 @@ def lattice_from_doc(doc: Mapping) -> FiniteLattice:
     raw = _expect_list(doc, "leq")
     pairs = []
     for i, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            _fail(f"leq[{i}] must be an [x, y] array meaning x <= y")
-        pairs.append((pair[0], pair[1]))
+        msg = f"leq[{i}] must be an [x, y] array of names meaning x <= y"
+        pairs.append(tuple(_expect_pair(pair, msg)))
     try:
         return FiniteLattice.from_leq_pairs(tuple(elems), pairs)
     except (ValueError, CompChoiceError) as exc:
@@ -304,9 +311,8 @@ def lift_from_doc(doc: Mapping, *, verify: bool = True) -> Lift:
     raw_phi = _expect_list(doc, "phi")
     mapping = {}
     for i, pair in enumerate(raw_phi):
-        if not isinstance(pair, list) or len(pair) != 2:
-            _fail(f"phi[{i}] must be a [pair, target] array")
-        mapping[pair[0]] = pair[1]
+        label, target = _expect_pair(pair, f"phi[{i}] must be a [pair, target] array of names")
+        mapping[label] = target
     try:
         phi = PointMap.from_names(space, source.ground, mapping)
     except ValueError as exc:
@@ -314,9 +320,8 @@ def lift_from_doc(doc: Mapping, *, verify: bool = True) -> Lift:
     raw_order = _expect_list(doc, "order_pairs")
     pairs = []
     for i, pair in enumerate(raw_order):
-        if not isinstance(pair, list) or len(pair) != 2:
-            _fail(f"order_pairs[{i}] must be a [y, x] array meaning y <= x")
-        pairs.append((pair[0], pair[1]))
+        msg = f"order_pairs[{i}] must be a [y, x] array of names meaning y <= x"
+        pairs.append(tuple(_expect_pair(pair, msg)))
     try:
         order = Preorder.from_pairs(space.elements, pairs)
     except ValueError as exc:
@@ -350,8 +355,7 @@ def lattice_cf_from_doc(doc: Mapping) -> LatticeCF:
     raw = _expect_list(doc, "table")
     mapping = {}
     for i, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            _fail(f"table[{i}] must be an [x, f(x)] array")
+        _expect_pair(pair, f"table[{i}] must be an [x, f(x)] array of names")
         if pair[0] in mapping:
             _fail(f"table[{i}]: duplicate element {pair[0]!r}")
         mapping[pair[0]] = pair[1]
@@ -379,8 +383,7 @@ def lattice_fn_from_doc(doc: Mapping) -> LatticeFunction:
     raw = _expect_list(doc, "values")
     values: dict[str, Fraction] = {}
     for i, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            _fail(f"values[{i}] must be an [x, value] array")
+        _expect_pair(pair, f"values[{i}] must be an [x, value] array", names=1)
         if pair[0] in values:
             _fail(f"values[{i}]: duplicate element {pair[0]!r}")
         values[pair[0]] = _load_rational(pair[1], f"values[{i}]")
@@ -443,7 +446,7 @@ def from_document(doc: Any, **kwargs) -> Any:
         if not isinstance(doc, Mapping):
             _fail("envelope field 'document' must be a JSON object")
     kind = doc.get("kind")
-    if kind not in _FROM_DOC:
+    if not isinstance(kind, str) or kind not in _FROM_DOC:
         _fail(
             f"unknown document kind {kind!r}; expected one of {', '.join(KINDS)}"
         )

@@ -22,11 +22,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .choicefn import ChoiceFunction
+from .choicefn import ChoiceFunction, _first_violation
 from .core import GroundSet, SetFamily, Subset, SubsetWeakOrder, ensure_tractable
 from .errors import (
     GroundSetMismatchError,
@@ -36,7 +37,6 @@ from .errors import (
 )
 from .pretop import _require_complementary, open_sets
 
-_NUMPY_MIN_MASKS = 256
 _INT64_GUARD = 1 << 61
 
 
@@ -160,42 +160,18 @@ class ModularityClass:
         return "neither"
 
 
-def _pairwise_violations(vals: Sequence[int], n_masks: int) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
+def _pairwise_violations(
+    vals: Sequence[int],
+) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
     """First pair breaking the supermodular inequality and first breaking
-    the submodular one, scanning (A, B) in ascending mask order."""
-    first_super = None
-    first_sub = None
-    if n_masks >= _NUMPY_MIN_MASKS and max(abs(v) for v in vals) < _INT64_GUARD // 2:
-        v = np.asarray(vals, dtype=np.int64)
-        masks = np.arange(n_masks, dtype=np.int64)
-        block = max(1, (1 << 22) // n_masks)
-        for start in range(0, n_masks, block):
-            a = masks[start : start + block, None]
-            lhs = v[a] + v[None, :]
-            rhs = v[a & masks[None, :]] + v[a | masks[None, :]]
-            if first_super is None:
-                hit = np.argwhere(lhs > rhs)
-                if hit.size:
-                    first_super = (start + int(hit[0][0]), int(hit[0][1]))
-            if first_sub is None:
-                hit = np.argwhere(lhs < rhs)
-                if hit.size:
-                    first_sub = (start + int(hit[0][0]), int(hit[0][1]))
-            if first_super is not None and first_sub is not None:
-                break
-        return first_super, first_sub
-    for a in range(n_masks):
-        va = vals[a]
-        for b in range(n_masks):
-            lhs = va + vals[b]
-            rhs = vals[a & b] + vals[a | b]
-            if first_super is None and lhs > rhs:
-                first_super = (a, b)
-            if first_sub is None and lhs < rhs:
-                first_sub = (a, b)
-            if first_super is not None and first_sub is not None:
-                return first_super, first_sub
-    return first_super, first_sub
+    the submodular one, scanning (A, B) in ascending mask order. Values
+    run as int64 while pair sums fit, else as exact Python ints."""
+    fits = max(map(abs, vals)) < _INT64_GUARD
+    v = np.array(vals, dtype=np.int64 if fits else object)
+    return (
+        _first_violation(v, lambda a, va, b, vb, t: va + vb > t[a & b] + t[a | b]),
+        _first_violation(v, lambda a, va, b, vb, t: va + vb < t[a & b] + t[a | b]),
+    )
 
 
 def _local_exchange_flags(vals: Sequence[int], n: int) -> tuple[bool, bool]:
@@ -226,10 +202,8 @@ def _local_exchange_flags(vals: Sequence[int], n: int) -> tuple[bool, bool]:
 def classify(u: SetFunction) -> ModularityClass:
     """Classify u by exhaustive pair sweep, cross-checked against the local
     exchange criterion; disagreement raises ``InternalInvariantError``."""
-    vals = u._scaled_ints
-    n_masks = u.ground.n_masks
-    w_super, w_sub = _pairwise_violations(vals, n_masks)
-    loc_super, loc_sub = _local_exchange_flags(vals, u.ground.n)
+    w_super, w_sub = _pairwise_violations(u._scaled_ints)
+    loc_super, loc_sub = _local_exchange_flags(u._scaled_ints, u.ground.n)
     if (w_super is None) != loc_super or (w_sub is None) != loc_sub:
         raise InternalInvariantError(
             "pairwise modularity sweep disagrees with the local exchange sweep"
@@ -310,13 +284,40 @@ def argmax_family(u: SetFunction, menu: Subset) -> SetFamily:
     return SetFamily(u.ground, frozenset(args))
 
 
-def _first_incomparable_pair(masks: Sequence[int]) -> tuple[int, int] | None:
-    ordered = sorted(masks)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if a & ~b and b & ~a:
-                return a, b
-    return None
+def _least_maximizer_table(vals: Sequence[int]) -> tuple[list[int], int | None]:
+    """Send each menu to the intersection of the maximizers of ``vals`` over
+    its submasks, walking menus in ascending mask order.
+
+    Returns the table and None when every intersection is itself a
+    maximizer (the least one); otherwise the table so far and the first
+    menu where it is not.
+    """
+    table = []
+    for m in range(len(vals)):
+        best = vals[m]
+        inter = m
+        sub = (m - 1) & m
+        while sub != m:
+            v = vals[sub]
+            if v > best:
+                best = v
+                inter = sub
+            elif v == best:
+                inter &= sub
+            sub = (sub - 1) & m
+        if vals[inter] != best:
+            return table, m
+        table.append(inter)
+    return table, None
+
+
+def _first_incomparable_pair(vals: Sequence[int], m: int) -> tuple[int, int] | None:
+    """First pair, in ascending mask order, of incomparable maximizers of
+    ``vals`` over the submasks of ``m``."""
+    subs = [s for s in range(m + 1) if s & ~m == 0]
+    best = max(vals[s] for s in subs)
+    maximizers = [s for s in subs if vals[s] == best]
+    return next(((a, b) for a, b in combinations(maximizers, 2) if a & ~b and b & ~a), None)
 
 
 def induce_cf(u: SetFunction) -> ChoiceFunction:
@@ -329,38 +330,19 @@ def induce_cf(u: SetFunction) -> ChoiceFunction:
     pair of maximizers rather than guessing.
     """
     ground = u.ground
-    vals = u.values
-    table = []
-    for m in range(ground.n_masks):
-        best = None
-        inter = None
-        args: list[int] = []
-        sub = m
-        while True:
-            v = vals[sub]
-            if best is None or v > best:
-                best = v
-                inter = sub
-                args = [sub]
-            elif v == best:
-                inter &= sub
-                args.append(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & m
-        if vals[inter] != best:
-            # a chain of maximizers would make its least member the
-            # intersection, so a failure always exhibits an incomparable pair
-            pair = _first_incomparable_pair(args)
-            assert pair is not None
-            raise NoUniqueMinimizerError(
-                f"menu {Subset(ground, m)!r} has no least maximizer; e.g. "
-                f"{Subset(ground, pair[0])!r} and {Subset(ground, pair[1])!r} "
-                f"both attain the maximum but their intersection does not",
-                where=Subset(ground, m),
-                pair=(Subset(ground, pair[0]), Subset(ground, pair[1])),
-            )
-        table.append(inter)
+    table, m = _least_maximizer_table(u._scaled_ints)
+    if m is not None:
+        # a chain of maximizers would make its least member the
+        # intersection, so a failure always exhibits an incomparable pair
+        pair = _first_incomparable_pair(u._scaled_ints, m)
+        assert pair is not None
+        raise NoUniqueMinimizerError(
+            f"menu {Subset(ground, m)!r} has no least maximizer; e.g. "
+            f"{Subset(ground, pair[0])!r} and {Subset(ground, pair[1])!r} "
+            f"both attain the maximum but their intersection does not",
+            where=Subset(ground, m),
+            pair=(Subset(ground, pair[0]), Subset(ground, pair[1])),
+        )
     return ChoiceFunction(ground, tuple(table))
 
 
@@ -378,19 +360,16 @@ def is_supermodular_order(
     for every pair, either A is below the intersection or B is below the
     union; and when the intersection drops strictly below A, B must drop
     strictly below the union. Returns (holds, first violating pair)."""
-    ranks = w.ranks
-    n_masks = w.ground.n_masks
-    for a in range(n_masks):
-        ra = ranks[a]
-        for b in range(n_masks):
-            ri = ranks[a & b]
-            ru = ranks[a | b]
-            rb = ranks[b]
-            if not (ra <= ri or rb <= ru):
-                return False, (Subset(w.ground, a), Subset(w.ground, b))
-            if ri < ra and not rb < ru:
-                return False, (Subset(w.ground, a), Subset(w.ground, b))
-    return True, None
+    # the second condition implies the first, so a pair violates the order
+    # exactly when the intersection drops below A and B does not drop
+    # strictly below the union
+    hit = _first_violation(
+        np.asarray(w.ranks, dtype=np.int64),
+        lambda a, ra, b, rb, t: (t[a & b] < ra) & (rb >= t[a | b]),
+    )
+    if hit is None:
+        return True, None
+    return False, (Subset(w.ground, hit[0]), Subset(w.ground, hit[1]))
 
 
 def cf_from_order(w: SubsetWeakOrder) -> ChoiceFunction:
@@ -407,30 +386,13 @@ def cf_from_order(w: SubsetWeakOrder) -> ChoiceFunction:
             f"A={witness[0]!r} B={witness[1]!r}",
             witness=witness,
         )
-    ground = w.ground
-    ranks = w.ranks
-    table = []
-    for m in range(ground.n_masks):
-        best = None
-        inter = None
-        sub = m
-        while True:
-            r = ranks[sub]
-            if best is None or r > best:
-                best = r
-                inter = sub
-            elif r == best:
-                inter &= sub
-            if sub == 0:
-                break
-            sub = (sub - 1) & m
-        if ranks[inter] != best:
-            raise InternalInvariantError(
-                f"maximal tier of menu {Subset(ground, m)!r} is not closed "
-                f"under intersection despite a supermodular order"
-            )
-        table.append(inter)
-    return ChoiceFunction(ground, tuple(table))
+    table, m = _least_maximizer_table(w.ranks)
+    if m is not None:
+        raise InternalInvariantError(
+            f"maximal tier of menu {Subset(w.ground, m)!r} is not closed "
+            f"under intersection despite a supermodular order"
+        )
+    return ChoiceFunction(w.ground, tuple(table))
 
 
 def random_modular(ground: GroundSet, rng: random.Random, span: int = 3) -> SetFunction:

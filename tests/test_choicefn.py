@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -8,11 +9,15 @@ from compchoice import (
     GroundSet,
     Preorder,
     analyze,
+    classify,
     cofinite,
     consistency_matches_idempotence,
     ideal_cf,
     identity_cf,
+    is_supermodular_order,
+    order_from_setfn,
     packaged,
+    supermod,
     threshold,
     union,
     witness_violates,
@@ -28,6 +33,7 @@ from compchoice.errors import (
     InfiniteGroundSetError,
     PreconditionError,
 )
+from compchoice.supermod import SetFunction, random_supermodular
 import random
 
 
@@ -35,6 +41,13 @@ def all_contracting_tables(n):
     """Independent enumeration used as the oracle in this module."""
     options = [[s for s in range(m + 1) if s & m == s] for m in range(1 << n)]
     return product(*options)
+
+
+def first_pair(table, bad):
+    """Definitional scan: the first (A, B) in row-major mask order with
+    ``bad(table, A, B)``, or None."""
+    menus = range(len(table))
+    return next(((a, b) for a in menus for b in menus if bad(table, a, b)), None)
 
 
 class TestChoiceFunction:
@@ -188,21 +201,73 @@ class TestAnalyze:
             if rep.completely_complementary:
                 assert rep.complementary
 
-    def test_numpy_and_python_sweeps_agree(self, monkeypatch):
-        # same report regardless of how the pair sweep is partitioned
-        g9 = GroundSet(tuple(f"e{i}" for i in range(9)))
-        rng = random.Random(7)
-        fns = [random_complementary_cf(g9, rng)]
-        table = list(fns[0].table)
-        table[511] = 0  # break complementarity to exercise witness paths
-        table[5] = table[5] & 1
-        fns.append(ChoiceFunction(g9, tuple(table)))
+    def test_sweeps_match_first_witness_oracle(self, ab, abc):
+        # every pair sweep against a definitional row-major scan: exhaustive
+        # over contracting tables for n <= 3, then seeded larger tables
+        sweeps = [
+            (choicefn._consistency_violation,
+             lambda t, a, b: t[a] & ~b == 0 and b & ~a == 0 and t[b] != t[a]),
+            (choicefn._monotonicity_violation,
+             lambda t, a, b: a & ~b == 0 and t[a] & ~t[b] != 0),
+            (choicefn._subadditivity_violation,
+             lambda t, a, b: t[a | b] & ~(t[a] | t[b]) != 0),
+            (choicefn._superadditivity_violation,
+             lambda t, a, b: (t[a] | t[b]) & ~t[a | b] != 0),
+            (choicefn._heredity_violation,
+             lambda t, a, b: a & ~b == 0 and t[b] & a & ~t[a] != 0),
+            (choicefn._meet_preservation_violation,
+             lambda t, a, b: t[a & b] != t[a] & t[b]),
+        ]
+        fns = [f for g in (GroundSet(()), GroundSet(("a",)), ab, abc)
+               for f in iter_contracting_tables(g)]
+        rng = random.Random(11)
+        for n in (6, 8, 10):
+            g = GroundSet(tuple(f"e{i}" for i in range(n)))
+            comp = random_complementary_cf(g, rng)
+            table = list(comp.table)
+            top = rng.randrange(g.n_masks - 64, g.n_masks)
+            table[top] &= table[top] - 1  # drop one chosen element late
+            rand = [rng.randrange(m + 1) & m for m in range(g.n_masks)]
+            fns += [comp, ChoiceFunction(g, tuple(table)), ChoiceFunction(g, tuple(rand))]
         for f in fns:
-            fast = choicefn._compute_report(f)
-            monkeypatch.setattr(choicefn, "_NUMPY_MIN_MASKS", 10**9)
-            slow = choicefn._compute_report(f)
-            monkeypatch.undo()
-            assert fast == slow
+            for sweep, bad in sweeps:
+                assert sweep(f) == first_pair(f.table, bad), (f.table, sweep)
+
+    def test_set_function_sweeps_match_first_witness_oracle(self):
+        # classify's two sides and the supermodular-order sweep, on exact
+        # values: small integers, Fractions, and values above 2**61, which
+        # do not fit the int64 path
+        def side(v, sign):
+            return lambda t, a, b: sign * (v[a] + v[b] - v[a & b] - v[a | b]) > 0
+
+        def order_bad(r):
+            def bad(t, a, b):
+                ri, ru = r[a & b], r[a | b]
+                return not (r[a] <= ri or r[b] <= ru) or (ri < r[a] and not r[b] < ru)
+
+            return bad
+
+        rng = random.Random(5)
+        fns = []
+        for n in (2, 3, 5, 7):
+            g = GroundSet(tuple(f"e{i}" for i in range(n)))
+            sup = random_supermodular(g, rng)
+            fns.append(sup)
+            fns.append(SetFunction(g, tuple(rng.randint(0, 3) for _ in range(g.n_masks))))
+            fns.append(SetFunction(g, tuple(
+                v + Fraction(rng.randint(-1, 1), 7) for v in sup.values)))
+        huge = fns[-2].scale(1 << 70) + fns[-3]
+        assert max(map(abs, huge._scaled_ints)) >= supermod._INT64_GUARD
+        fns.append(huge)
+        for u in fns:
+            cls = classify(u)
+            for got, sign in ((cls.not_supermodular, 1), (cls.not_submodular, -1)):
+                want = first_pair(u.values, side(u.values, sign))
+                assert (got and (got[0].bits, got[1].bits)) == want
+            order = order_from_setfn(u)
+            _, wit = is_supermodular_order(order)
+            want = first_pair(order.ranks, order_bad(order.ranks))
+            assert (wit and (wit[0].bits, wit[1].bits)) == want
 
 
 class TestConstructors:

@@ -72,6 +72,28 @@ class TestVerify:
         code, _ = run(capsys, "verify", path, "--max-n", "2")
         assert code == 2
 
+    def test_non_string_pair_entry_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "preorder.json"
+        for text, where in (
+            ('{"kind":"preorder","carrier":["a"],"pairs":[[["x"],"a"]]}', "pairs[0]"),
+            ('{"kind":["preorder"]}', "kind"),
+        ):
+            path.write_text(text, encoding="utf-8")
+            code, out = run(capsys, "verify", path)
+            assert code == 2
+            assert out.count("\n") == 1 and where in out
+
+    def test_unexpected_exception_exits_three(self, tmp_path, capsys, monkeypatch):
+        from compchoice import cli as cli_module
+
+        def crash(*args, **kwargs):
+            raise TypeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli_module.documents, "load_path", crash)
+        code, out = run(capsys, "verify", tmp_path / "any.json")
+        assert code == 3
+        assert out == "internal error: TypeError: boom second line\n"
+
     def test_tampered_lift_exits_one_even_without_expect(self, tmp_path, capsys):
         src = write_fixture(tmp_path, "overlapping-pairs-cf")
         lift_path = tmp_path / "lift.json"
@@ -277,6 +299,24 @@ class TestSearch:
         )
         payload = json.loads(out)
         assert payload["found"] == 0
+
+    def test_oversized_value_table_refused(self, capsys):
+        # 201^4 candidate tables would need about 12 GiB; refused up front
+        code, out = run(
+            capsys,
+            "search", "--pattern", "submodular-not-substitutable",
+            "--n", "2", "--value-max", "200",
+        )
+        assert code == 2
+        assert "candidate tables" in out
+
+    def test_value_max_beyond_int16_refused(self, capsys):
+        code, _ = run(
+            capsys,
+            "search", "--pattern", "submodular-not-substitutable",
+            "--n", "1", "--value-max", "40000",
+        )
+        assert code == 2
 
     def test_order_violations_absent(self, capsys):
         code, out = run(
