@@ -199,6 +199,25 @@ def _first_violation(
     return None
 
 
+def _submask_reduce(
+    n: int, masks: Sequence[int], values: Sequence[int] | int, op: np.ufunc,
+    what: str = "choice table",
+) -> list[int]:
+    """Subset zeta transform (Yates 1937): entry m is ``op`` reduced over
+    the int64 values seeded at the submasks of m, 0 where there are none.
+
+    Seeds at one mask combine with ``op`` too. Step i folds each mask
+    without bit i into the mask with it, so n vectorized steps suffice.
+    """
+    ensure_tractable(n, what=what)
+    t = np.zeros(1 << n, dtype=np.int64)
+    op.at(t, np.asarray(masks, dtype=np.int64), np.asarray(values, dtype=np.int64))
+    for i in range(n):
+        v = t.reshape(-1, 2, 1 << i)
+        op(v[:, 1], v[:, 0], out=v[:, 1])
+    return t.tolist()
+
+
 def _consistency_violation(f: ChoiceFunction) -> tuple[int, int] | None:
     """First (A, B) with f(A) <= B <= A but f(B) != f(A)."""
     return _first_violation(
@@ -366,7 +385,8 @@ def ideal_cf(p: Preorder, ground: GroundSet | None = None) -> ChoiceFunction:
     """Choose the largest down-closed subset of each menu.
 
     Equivalently: keep exactly the menu items whose principal ideal fits
-    inside the menu.
+    inside the menu. Reflexivity puts each point in its own ideal, so this
+    is the subset-OR transform of the points seeded at their ideals.
     """
     if ground is None:
         ground = p.ground
@@ -374,19 +394,8 @@ def ideal_cf(p: Preorder, ground: GroundSet | None = None) -> ChoiceFunction:
         raise GroundSetMismatchError(
             "preorder carrier must list exactly the ground-set elements, in order"
         )
-    ideals = p.ideal_masks
-
-    def rule(m: int) -> int:
-        out = 0
-        probe = m
-        while probe:
-            i = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            if ideals[i] & ~m == 0:
-                out |= 1 << i
-        return out
-
-    return ChoiceFunction.build(ground, rule)
+    points = [1 << i for i in range(p.n)]
+    return ChoiceFunction(ground, _submask_reduce(p.n, p.ideal_masks, points, np.bitwise_or))
 
 
 def threshold(ground: GroundSet, k: int) -> ChoiceFunction:

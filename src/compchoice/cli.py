@@ -620,6 +620,9 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> int:
         _emit(f"error: search supports 1 <= n <= {enumeration.MAX_FILTER_N}")
         return EXIT_INPUT
     limit = args.limit
+    if limit is not None and limit < 1:
+        _emit(f"error: --limit must be at least 1, got {limit}")
+        return EXIT_INPUT
     if args.pattern == "submodular-not-substitutable":
         vmax = args.value_max
         rows = (vmax + 1) ** (1 << n)

@@ -7,6 +7,7 @@ types are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -19,26 +20,26 @@ from .errors import (
 
 DEFAULT_POWERSET_LIMIT = 20
 
-_powerset_limit = DEFAULT_POWERSET_LIMIT
+# per context, so a new thread starts from the default
+_powerset_limit = ContextVar("powerset_limit", default=DEFAULT_POWERSET_LIMIT)
 
 
 def powerset_limit() -> int:
     """Current cap on the number of elements for powerset-table construction."""
-    return _powerset_limit
+    return _powerset_limit.get()
 
 
 def set_powerset_limit(n: int) -> None:
     """Raise or lower the cap. Tables are 2^n entries, so go gently."""
-    global _powerset_limit
     if n < 1:
         raise ValueError("powerset limit must be >= 1")
-    _powerset_limit = n
+    _powerset_limit.set(n)
 
 
 def ensure_tractable(n_elements: int, what: str = "powerset table") -> None:
     """Fail fast before any 2^n-sized structure above the configured cap."""
-    if n_elements > _powerset_limit:
-        raise PowersetLimitError(needed=n_elements, limit=_powerset_limit, what=what)
+    if n_elements > powerset_limit():
+        raise PowersetLimitError(needed=n_elements, limit=powerset_limit(), what=what)
 
 
 @dataclass(frozen=True)
@@ -344,17 +345,13 @@ class Preorder:
         carrier = tuple(carrier)
         index = {name: i for i, name in enumerate(carrier)}
         masks = [0] * len(carrier)
-        seen: set[tuple[str, str]] = set()
         for y, x in pairs:
             if y not in index or x not in index:
                 raise ValueError(f"pair ({y!r}, {x!r}) mentions unknown points")
-            seen.add((y, x))
             masks[index[x]] |= 1 << index[y]
         if close:
             masks = _close_reflexive_transitive(len(carrier), masks)
         else:
-            for name in carrier:
-                seen.add((name, name))
             closed = _close_reflexive_transitive(len(carrier), list(masks))
             for i in range(len(carrier)):
                 masks[i] |= 1 << i
@@ -455,6 +452,11 @@ class SubsetWeakOrder:
         return len(set(self.ranks))
 
 
+def _transpose(down: Sequence[int]) -> list[int]:
+    """Up-masks from down-masks: bit j of entry i says i <= j."""
+    return [sum(1 << j for j, d in enumerate(down) if d >> i & 1) for i in range(len(down))]
+
+
 @dataclass(frozen=True)
 class FiniteLattice:
     """An explicit finite lattice: order table plus meet and join tables.
@@ -537,13 +539,7 @@ class FiniteLattice:
 
     @cached_property
     def _up_masks(self) -> tuple[int, ...]:
-        n = len(self.elems)
-        ups = [0] * n
-        for j in range(n):
-            for i in range(n):
-                if self.down_masks[j] >> i & 1:
-                    ups[i] |= 1 << j
-        return tuple(ups)
+        return tuple(_transpose(self.down_masks))
 
     @classmethod
     def from_leq_pairs(
@@ -573,11 +569,7 @@ class FiniteLattice:
         else:
             for i in range(n):
                 down[i] |= 1 << i
-        ups = [0] * n
-        for j in range(n):
-            for i in range(n):
-                if down[j] >> i & 1:
-                    ups[i] |= 1 << j
+        ups = _transpose(down)
         meet = [[0] * n for _ in range(n)]
         join = [[0] * n for _ in range(n)]
         for i in range(n):

@@ -9,11 +9,12 @@ a canonical dump and dumping again reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Callable, Mapping
 
 from .choicefn import ChoiceFunction, ideal_cf
-from .core import FiniteLattice, GroundSet, Preorder, SetFamily, Subset
+from .core import FiniteLattice, GroundSet, Preorder, SetFamily, Subset, ensure_tractable
 from .errors import (
     CompChoiceError,
     DocumentError,
@@ -81,6 +82,8 @@ def _load_rational(val: Any, where: str) -> Fraction:
     if isinstance(val, int):
         return Fraction(val)
     if isinstance(val, str):
+        if re.search(r"[eE][+-]?0*\d{5}", val):  # Fraction would expand 10**exponent
+            _fail(f"{where}: exponent too large in {val[:40]!r}")
         try:
             return Fraction(val)
         except (ValueError, ZeroDivisionError) as exc:
@@ -128,6 +131,7 @@ def cf_to_doc(f: ChoiceFunction) -> dict:
 
 def cf_from_doc(doc: Mapping) -> ChoiceFunction:
     ground = _load_ground(doc)
+    ensure_tractable(ground.n, what="choice table")
     entries = _expect_list(doc, "table")
     table: list[int | None] = [None] * ground.n_masks
     for i, entry in enumerate(entries):
@@ -212,6 +216,7 @@ def setfn_to_doc(u: SetFunction) -> dict:
 
 def setfn_from_doc(doc: Mapping) -> SetFunction:
     ground = _load_ground(doc)
+    ensure_tractable(ground.n, what="set-function table")
     entries = _expect_list(doc, "values")
     values: list[Fraction | None] = [None] * ground.n_masks
     for i, entry in enumerate(entries):
@@ -462,7 +467,9 @@ def dumps(obj: Any) -> str:
 def loads(text: str, **kwargs) -> Any:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        _fail("not valid JSON: arrays or objects nested too deeply")
+    except ValueError as exc:  # also an integer literal beyond int's digit limit
         _fail(f"not valid JSON: {exc}")
     return from_document(doc, **kwargs)
 
@@ -473,6 +480,8 @@ def load_path(path: str, **kwargs) -> Any:
             text = fh.read()
     except OSError as exc:
         _fail(f"cannot read {path!r}: {exc}")
+    except UnicodeDecodeError as exc:
+        _fail(f"{path!r} is not UTF-8 text: {exc}")
     return loads(text, **kwargs)
 
 

@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .choicefn import ChoiceFunction, packaged, union
-from .core import GroundSet, Preorder, SetFamily, Subset, union_closure
+import numpy as np
+
+from .choicefn import ChoiceFunction, _submask_reduce
+from .core import GroundSet, Preorder, SetFamily, Subset
 from .errors import (
     InternalInvariantError,
     NeighborhoodPropertyError,
@@ -54,21 +56,13 @@ def image_family(f: ChoiceFunction) -> SetFamily:
 def interior_cf(family: SetFamily) -> ChoiceFunction:
     """The interior operator of the pre-topology generated by ``family``.
 
-    The input is treated as a base: its union closure is formed first, and
-    each menu is sent to the largest closed member inside it (equivalently,
-    the union of all of them).
+    The input is treated as a base: each menu is sent to the union of the
+    members inside it, which is the largest open set inside the menu, as
+    every open set is a union of members. No union closure is formed.
     """
-    closed = union_closure(family)
-    members = closed.sorted_masks
-
-    def rule(m: int) -> int:
-        out = 0
-        for b in members:
-            if b & ~m == 0:
-                out |= b
-        return out
-
-    return ChoiceFunction.build(family.ground, rule)
+    masks = family.sorted_masks
+    table = _submask_reduce(family.ground.n, masks, masks, np.bitwise_or)
+    return ChoiceFunction(family.ground, table)
 
 
 def decompose(f: ChoiceFunction) -> SetFamily:
@@ -79,12 +73,12 @@ def decompose(f: ChoiceFunction) -> SetFamily:
 
 
 def reconstruct(family: SetFamily) -> ChoiceFunction:
-    """Union of bundle-fixated choice functions over the family's members."""
-    ground = family.ground
-    parts = [packaged(Subset(ground, m)) for m in family.sorted_masks]
-    if not parts:
-        parts = [packaged(ground.empty())]
-    return union(parts)
+    """Union of bundle-fixated choice functions over the family's members.
+
+    Bundle k is chosen from exactly the menus containing it, so the union
+    sends each menu to the union of the members inside it: ``interior_cf``.
+    """
+    return interior_cf(family)
 
 
 def neighborhoods(f: ChoiceFunction, x: str) -> SetFamily:
@@ -215,23 +209,15 @@ class NeighborhoodSystem:
 def cf_from_neighborhood_system(system: NeighborhoodSystem) -> ChoiceFunction:
     """Choose from each menu the elements having an assigned menu inside it.
 
+    Point-membership puts each element in its assigned menus, so this is
+    the subset-OR transform of the elements seeded at their assigned menus.
     The result is complementary, and its minimal neighborhoods recover the
     system exactly.
     """
-    ground = system.ground
-    minimal = system.minimal
-
-    def rule(m: int) -> int:
-        out = 0
-        probe = m
-        while probe:
-            i = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            if any(s & ~m == 0 for s in minimal[i]):
-                out |= 1 << i
-        return out
-
-    return ChoiceFunction.build(ground, rule)
+    masks = [s for fam in system.minimal for s in fam]
+    points = [1 << i for i, fam in enumerate(system.minimal) for _ in fam]
+    table = _submask_reduce(system.ground.n, masks, points, np.bitwise_or)
+    return ChoiceFunction(system.ground, table)
 
 
 def neighborhood_system_of(f: ChoiceFunction) -> NeighborhoodSystem:

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .choicefn import ChoiceFunction, _first_violation
+from .choicefn import ChoiceFunction, _first_violation, _submask_reduce
 from .core import GroundSet, SetFamily, Subset, SubsetWeakOrder, ensure_tractable
 from .errors import (
     GroundSetMismatchError,
@@ -234,13 +234,13 @@ def synthesize(f: ChoiceFunction) -> SetFunction:
 
     For complementary f this is a monotone, integer-valued, supermodular
     function (a sum of indicators over the open sets) whose induced choice
-    function is f again.
+    function is f again. The count is one subset-sum transform of the
+    open-set indicator.
     """
     _require_complementary(f, "synthesize")
     opens = open_sets(f).sorted_masks
-    return SetFunction.tabulate(
-        f.ground, lambda m: sum(1 for u in opens if u & ~m == 0)
-    )
+    counts = _submask_reduce(f.ground.n, opens, 1, np.add, what="set-function table")
+    return SetFunction(f.ground, tuple(counts))
 
 
 def default_epsilon(ground: GroundSet) -> Fraction:

@@ -1,8 +1,18 @@
+import contextlib
+import copy
+import io
 import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compchoice import documents
 from compchoice.cli import main
-from compchoice.fixtures import get_fixture_document
+from compchoice.fixtures import get_fixture, get_fixture_document
+from compchoice.latticecf import synthesize as synthesize_lattice
+from compchoice.pretop import neighborhood_system_of
+from compchoice.transport import economical_lift
 
 
 def write_fixture(tmp_path, name, filename=None):
@@ -82,6 +92,30 @@ class TestVerify:
             code, out = run(capsys, "verify", path)
             assert code == 2
             assert out.count("\n") == 1 and where in out
+
+    def test_oversized_table_document_refused_before_allocation(self, tmp_path, capsys):
+        ground = [f"x{i}" for i in range(21)]
+        path = tmp_path / "big.json"
+        for kind, field in (("choice_function", "table"), ("set_function", "values")):
+            path.write_text(json.dumps({"kind": kind, "ground": ground, field: []}), encoding="utf-8")
+            code, out = run(capsys, "verify", path)
+            assert code == 2
+            assert out.count("\n") == 1
+            assert "needs 21 elements, above the configured limit of 20" in out
+
+    def test_non_utf8_document_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "family", "ground": ["\xe9"], "members": []}')
+        code, out = run(capsys, "verify", path)
+        assert code == 2
+        assert out.count("\n") == 1 and "UTF-8" in out
+
+    def test_deeply_nested_document_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000, encoding="utf-8")
+        code, out = run(capsys, "verify", path)
+        assert code == 2
+        assert out.count("\n") == 1 and "nested too deeply" in out
 
     def test_unexpected_exception_exits_three(self, tmp_path, capsys, monkeypatch):
         from compchoice import cli as cli_module
@@ -351,6 +385,16 @@ class TestSearch:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_below_one_exits_two(self, capsys, limit):
+        code, out = run(
+            capsys,
+            "search", "--pattern", "custom-predicate", "--n", "2",
+            "--predicate", "monotone", "--limit", limit,
+        )
+        assert code == 2
+        assert out == f"error: --limit must be at least 1, got {limit}\n"
+
     def test_missing_predicate_exits_two(self, capsys):
         code, _ = run(capsys, "search", "--pattern", "custom-predicate", "--n", "2")
         assert code == 2
@@ -371,3 +415,102 @@ class TestFixturesCommand:
     def test_unknown_name_exits_two(self, capsys):
         code, _ = run(capsys, "fixtures", "--name", "nope")
         assert code == 2
+
+
+def _seed_documents():
+    """One valid document of every kind, and a convert target for it."""
+    cf = get_fixture("overlapping-pairs-cf")
+    lattice_cf = get_fixture("divisors-12-lattice-cf")
+    objects = {
+        "family": (get_fixture("partition-pretopology"), "cf"),
+        "choice_function": (cf, "setfn"),
+        "preorder": (get_fixture("twin-elements-preorder"), "cf"),
+        "lattice": (get_fixture("divisors-12-lattice"), "lattice-cf"),
+        "set_function": (get_fixture("submodular-counterexample"), "cf"),
+        "neighborhood_system": (neighborhood_system_of(cf), "cf"),
+        "lift": (economical_lift(cf), "cf"),
+        "lattice_cf": (lattice_cf, "lattice-fn"),
+        "lattice_function": (synthesize_lattice(lattice_cf), "lattice-cf"),
+    }
+    return {kind: (documents.to_document(obj), to) for kind, (obj, to) in objects.items()}
+
+
+SEEDS = _seed_documents()
+NAMES = ["", "1", "12", "2", "4", "a", "b", "c", "zz"]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(NAMES)
+    | st.sampled_from(["1/2", "-1/0", "1e9", "1e99999", "NaN"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, path + (i,))
+
+
+@st.composite
+def mutated_documents(draw, kind):
+    """A seed document with one to three structural edits, as UTF-8 bytes,
+    sometimes with a few raw bytes spliced in."""
+    doc = copy.deepcopy(SEEDS[kind][0])
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(json_values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if action == "replace":
+            parent[key] = draw(json_values)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = [parent[key], parent[key]]
+    data = json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("kind", documents.KINDS)
+    def test_mutated_documents_keep_exit_codes(self, kind, tmp_path_factory):
+        path = tmp_path_factory.mktemp(kind) / "doc.json"
+        target = SEEDS[kind][1]
+
+        # 30 examples for each of the nine kinds keep the test near 3 s
+        @settings(max_examples=30)
+        @given(mutated_documents(kind))
+        def check(data):
+            path.write_bytes(data)
+            for argv in (["verify", str(path)], ["convert", str(path), "--to", target]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                text = out.getvalue()
+                assert code in (0, 1, 2), (argv, data, text)
+                assert "internal error" not in text
+                if code == 2:
+                    assert text.count("\n") == 1, (argv, data, text)
+
+        check()

@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from compchoice import (
     downset,
     is_intersection_closed,
     is_union_closed,
+    powerset_limit,
     principal_ideal,
     set_powerset_limit,
     union_closure,
@@ -98,6 +101,18 @@ class TestUnionClosure:
                 union_closure(fam(abc, ("a",)))
         finally:
             set_powerset_limit(20)
+
+    def test_lowered_limit_stays_in_its_thread(self):
+        seen = []
+        set_powerset_limit(2)
+        try:
+            worker = threading.Thread(target=lambda: seen.append(powerset_limit()))
+            worker.start()
+            worker.join()
+            assert powerset_limit() == 2
+        finally:
+            set_powerset_limit(20)
+        assert seen == [20]
 
     @given(st.data())
     def test_closure_operator_laws(self, data):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from compchoice import (
@@ -149,6 +151,15 @@ class TestLoaderErrors:
         doc["values"][1]["value"] = "three"
         with pytest.raises(DocumentError):
             documents.from_document(doc)
+
+    def test_huge_exponent_refused_before_expanding(self):
+        doc = get_fixture_document("submodular-counterexample")
+        for value in ("1e100000000", "-3E-00100000000"):
+            doc["values"][1]["value"] = value
+            with pytest.raises(DocumentError, match="exponent too large"):
+                documents.from_document(doc)
+        doc["values"][1]["value"] = "25e-2"
+        assert documents.from_document(doc).values[1] == Fraction(1, 4)
 
     def test_setfn_missing_nonempty_subset(self):
         doc = get_fixture_document("submodular-counterexample")
