@@ -59,12 +59,12 @@ from .pretop import (
 )
 from .supermod import (
     SetFunction,
-    argmax_family,
+    _exact_array,
+    _subset_max,
     classify,
     default_epsilon,
     induce_cf,
     is_supermodular_order,
-    _least_maximizer_table,
     order_from_setfn,
     perturb,
     synthesize,
@@ -285,9 +285,12 @@ def _route_cf_to_setfn(f: ChoiceFunction, config: RunConfig, do_perturb: bool = 
     if do_perturb:
         eps = config.epsilon if config.epsilon is not None else default_epsilon(f.ground)
         u = perturb(u, eps)
+        # the maximizers of a menu are all f(m) exactly when both their
+        # intersection and their union are
+        vals, table = _exact_array(u._scaled_ints), np.array(f.table)
         singleton = all(
-            argmax_family(u, Subset(f.ground, m)).masks == frozenset((f.table[m],))
-            for m in range(f.ground.n_masks)
+            np.array_equal(_subset_max(vals, op)[1], table)
+            for op in (np.bitwise_and, np.bitwise_or)
         )
         checks.append(_check("perturbed maximizer is unique and equals the choice", singleton))
         checks.append(_check("perturbed function is supermodular", classify(u).is_supermodular))
@@ -296,12 +299,17 @@ def _route_cf_to_setfn(f: ChoiceFunction, config: RunConfig, do_perturb: bool = 
 
 def _route_setfn_to_cf(u: SetFunction, config: RunConfig) -> tuple[Any, list[dict]]:
     f = induce_cf(u)
-    ok = True
-    for m in range(u.ground.n_masks):
-        fam = argmax_family(u, Subset(u.ground, m)).masks
-        if f.table[m] not in fam or any(f.table[m] & ~other for other in fam):
-            ok = False
-            break
+    # f(m) is the least maximizer of m exactly when it attains the maximum
+    # and dropping any of its elements from the menu lowers the maximum
+    vals = _exact_array(u._scaled_ints)
+    best = _subset_max(vals)[0]
+    table = np.array(f.table)
+    menus = np.arange(len(table))
+    ok = bool((vals[table] == best).all())
+    for i in range(u.ground.n):
+        bit = 1 << i
+        holds = (table & bit) != 0
+        ok = ok and bool((best[menus[holds] ^ bit] < best[holds]).all())
     checks = [_check("choice is the least maximizer on every menu", ok)]
     return f, checks
 
@@ -422,7 +430,7 @@ def cmd_convert(args: argparse.Namespace, config: RunConfig) -> int:
         _emit(f"conversion refused: {exc}")
         return EXIT_SEMANTIC
     stamp = {
-        "route": f"{documents.to_document(obj)['kind']} -> {target}",
+        "route": f"{documents.kind_of(obj)} -> {target}",
         "checks": checks,
         "ok": all(c["ok"] for c in checks),
     }
@@ -500,21 +508,15 @@ def cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
 # search
 
 
-# The submodular-not-substitutable scan builds every candidate value table
-# at once, (value_max + 1)^(2^n) rows of int16; larger requests are refused.
+# The submodular-not-substitutable scan decodes the candidate value tables,
+# (value_max + 1)^(2^n) rows of int16, in chunks, so that a --limit search
+# stops early; requests above _SEARCH_MAX_ROWS rows in all are refused.
 _SEARCH_MAX_ROWS = 1 << 21
+_SEARCH_CHUNK = 1 << 14
 
 
 def _search_ground(n: int) -> GroundSet:
     return GroundSet(tuple("abcdefgh"[:n]))
-
-
-def _first_heredity_violation(table: Sequence[int], n_masks: int) -> tuple[int, int] | None:
-    for a in range(n_masks):
-        for b in range(n_masks):
-            if a & ~b == 0 and table[b] & a & ~table[a]:
-                return a, b
-    return None
 
 
 def _search_submodular_not_substitutable(
@@ -524,47 +526,48 @@ def _search_submodular_not_substitutable(
     n_masks = 1 << n
     base = vmax + 1
     total = base**n_masks
-    idx = np.arange(total, dtype=np.int64)
-    table = np.stack(
-        [(idx // base**m) % base for m in range(n_masks)], axis=1
-    ).astype(np.int16)
-    viol = np.zeros(total, dtype=bool)
-    for a in range(n_masks):
-        for b in range(a + 1, n_masks):
-            lo, hi = a & b, a | b
-            if lo == a or lo == b:  # comparable menus force equality
-                continue
-            viol |= table[:, a] + table[:, b] < table[:, lo] + table[:, hi]
+    # heredity fails at (A, B) when A lies within B and the choice from B
+    # keeps an element of A that the choice from A drops
+    pairs = [(a, b) for a in range(n_masks) for b in range(n_masks) if a & ~b == 0]
     matches: list[dict] = []
-    found = 0
-    for t in np.nonzero(~viol)[0]:
-        vals = [int(v) for v in table[t]]
-        induced, failed_at = _least_maximizer_table(vals)
-        if failed_at is not None:
-            continue
-        wit = _first_heredity_violation(induced, n_masks)
-        if wit is None:
-            continue
-        found += 1
-        if limit is None or len(matches) < limit:
-            u = SetFunction(ground, tuple(Fraction(v) for v in vals))
-            a, b = wit
-            offending = induced[b] & a & ~induced[a]
+    for start in range(0, total, _SEARCH_CHUNK):
+        idx = np.arange(start, min(start + _SEARCH_CHUNK, total), dtype=np.int64)
+        table = np.stack(
+            [(idx // base**m) % base for m in range(n_masks)], axis=1
+        ).astype(np.int16)
+        viol = np.zeros(len(idx), dtype=bool)
+        for a in range(n_masks):
+            for b in range(a + 1, n_masks):
+                lo, hi = a & b, a | b
+                if lo == a or lo == b:  # comparable menus force equality
+                    continue
+                viol |= table[:, a] + table[:, b] < table[:, lo] + table[:, hi]
+        rows = table[~viol]
+        best, induced = _subset_max(rows)
+        has_least = (np.take_along_axis(rows, induced, -1) == best).all(axis=1)
+        # per row, the first failing pair in ascending (A, B) order, or
+        # len(pairs) when heredity holds
+        first = np.full(len(rows), len(pairs))
+        for k in reversed(range(len(pairs))):
+            a, b = pairs[k]
+            first[(induced[:, b] & a & ~induced[:, a]) != 0] = k
+        for t in np.flatnonzero(has_least & (first < len(pairs))):
+            u = SetFunction(ground, tuple(Fraction(v) for v in rows[t].tolist()))
+            a, b = pairs[first[t]]
+            offending = int(induced[t, b]) & a & ~int(induced[t, a])
             matches.append(
                 {
                     "set_function": documents.setfn_to_doc(u),
                     "heredity_witness": {
                         "A": Subset(ground, a).sorted_names(),
                         "B": Subset(ground, b).sorted_names(),
-                        "element": ground.elements[
-                            (offending & -offending).bit_length() - 1
-                        ],
+                        "element": ground.elements[(offending & -offending).bit_length() - 1],
                     },
                 }
             )
-        if limit is not None and found >= limit:
-            break
-    return found, matches
+            if len(matches) == limit:
+                return len(matches), matches
+    return len(matches), matches
 
 
 def _search_order_violations(n: int, limit: int | None) -> tuple[int, list[dict]]:
@@ -783,11 +786,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        epsilon = Fraction(args.epsilon) if getattr(args, "epsilon", None) else None
-    except (ValueError, ZeroDivisionError):
-        _emit(f"error: --epsilon must be a rational like 1/4, got {args.epsilon!r}")
-        return EXIT_INPUT
+    epsilon = None
+    if getattr(args, "epsilon", None):
+        try:
+            epsilon = documents.load_rational(args.epsilon, "--epsilon")
+        except DocumentError as exc:
+            _emit(f"error: {exc}")
+            return EXIT_INPUT
     try:
         config = RunConfig(
             max_n=args.max_n,

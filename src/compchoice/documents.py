@@ -76,7 +76,10 @@ def _subset_key(s: Subset) -> list[str]:
     return s.sorted_names()
 
 
-def _load_rational(val: Any, where: str) -> Fraction:
+def load_rational(val: Any, where: str) -> Fraction:
+    """An exact rational from a JSON value or a command-line string; a
+    decimal exponent of five or more digits is refused before ``Fraction``
+    would expand it."""
     if isinstance(val, bool) or isinstance(val, float):
         _fail(f"{where}: exact rationals required; write them as strings like \"-1/4\"")
     if isinstance(val, int):
@@ -225,7 +228,7 @@ def setfn_from_doc(doc: Mapping) -> SetFunction:
         s = _load_subset(ground, entry["subset"], f"values[{i}].subset")
         if values[s.bits] is not None:
             _fail(f"values[{i}]: duplicate subset {s!r}")
-        values[s.bits] = _load_rational(entry["value"], f"values[{i}].value")
+        values[s.bits] = load_rational(entry["value"], f"values[{i}].value")
     # the empty set may be omitted and defaults to zero; everything else is
     # mandatory
     if values[0] is None:
@@ -391,7 +394,7 @@ def lattice_fn_from_doc(doc: Mapping) -> LatticeFunction:
         _expect_pair(pair, f"values[{i}] must be an [x, value] array", names=1)
         if pair[0] in values:
             _fail(f"values[{i}]: duplicate element {pair[0]!r}")
-        values[pair[0]] = _load_rational(pair[1], f"values[{i}]")
+        values[pair[0]] = load_rational(pair[1], f"values[{i}]")
     missing = [x for x in lattice.elems if x not in values]
     if missing:
         _fail(f"values missing for {missing[0]!r}")
@@ -408,16 +411,16 @@ def _strip_kind(doc: dict) -> dict:
 # ---------------------------------------------------------------------------
 # dispatch
 
-_TO_DOC: list[tuple[type, Callable]] = [
-    (SetFamily, family_to_doc),
-    (ChoiceFunction, cf_to_doc),
-    (Preorder, preorder_to_doc),
-    (FiniteLattice, lattice_to_doc),
-    (SetFunction, setfn_to_doc),
-    (NeighborhoodSystem, neighborhood_system_to_doc),
-    (Lift, lift_to_doc),
-    (LatticeCF, lattice_cf_to_doc),
-    (LatticeFunction, lattice_fn_to_doc),
+_TO_DOC: list[tuple[type, str, Callable]] = [
+    (SetFamily, "family", family_to_doc),
+    (ChoiceFunction, "choice_function", cf_to_doc),
+    (Preorder, "preorder", preorder_to_doc),
+    (FiniteLattice, "lattice", lattice_to_doc),
+    (SetFunction, "set_function", setfn_to_doc),
+    (NeighborhoodSystem, "neighborhood_system", neighborhood_system_to_doc),
+    (Lift, "lift", lift_to_doc),
+    (LatticeCF, "lattice_cf", lattice_cf_to_doc),
+    (LatticeFunction, "lattice_function", lattice_fn_to_doc),
 ]
 
 _FROM_DOC: dict[str, Callable] = {
@@ -435,8 +438,17 @@ _FROM_DOC: dict[str, Callable] = {
 KINDS = tuple(_FROM_DOC)
 
 
+def kind_of(obj: Any) -> str:
+    """The ``kind`` that ``to_document(obj)`` writes, found without
+    serializing the object."""
+    for cls, kind, _ in _TO_DOC:
+        if isinstance(obj, cls):
+            return kind
+    raise TypeError(f"no document form for {type(obj).__name__}")
+
+
 def to_document(obj: Any) -> dict:
-    for cls, fn in _TO_DOC:
+    for cls, _, fn in _TO_DOC:
         if isinstance(obj, cls):
             return fn(obj)
     raise TypeError(f"no document form for {type(obj).__name__}")

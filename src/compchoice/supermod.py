@@ -58,7 +58,7 @@ class SetFunction:
 
     def __post_init__(self) -> None:
         ensure_tractable(self.ground.n, what="set-function table")
-        values = tuple(_as_fraction(v) for v in self.values)
+        values = tuple(v if type(v) is Fraction else _as_fraction(v) for v in self.values)
         object.__setattr__(self, "values", values)
         if len(values) != self.ground.n_masks:
             raise ValueError("one value per subset required")
@@ -116,10 +116,10 @@ class SetFunction:
     @cached_property
     def _scaled_ints(self) -> tuple[int, ...]:
         """Values on a common denominator, as exact integers."""
-        denom = 1
-        for v in self.values:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        return tuple(int(v * denom) for v in self.values)
+        denom = math.lcm(*{v.denominator for v in self.values})
+        if denom == 1:
+            return tuple(v.numerator for v in self.values)
+        return tuple(v.numerator * (denom // v.denominator) for v in self.values)
 
     def __repr__(self) -> str:
         return f"SetFunction(n={self.ground.n})"
@@ -160,14 +160,19 @@ class ModularityClass:
         return "neither"
 
 
+def _exact_array(vals: Sequence[int]) -> np.ndarray:
+    """Exact integers as int64 while pair sums fit, else as Python ints."""
+    fits = max(map(abs, vals)) < _INT64_GUARD
+    return np.array(vals, dtype=np.int64 if fits else object)
+
+
 def _pairwise_violations(
     vals: Sequence[int],
 ) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
     """First pair breaking the supermodular inequality and first breaking
     the submodular one, scanning (A, B) in ascending mask order. Values
     run as int64 while pair sums fit, else as exact Python ints."""
-    fits = max(map(abs, vals)) < _INT64_GUARD
-    v = np.array(vals, dtype=np.int64 if fits else object)
+    v = _exact_array(vals)
     return (
         _first_violation(v, lambda a, va, b, vb, t: va + vb > t[a & b] + t[a | b]),
         _first_violation(v, lambda a, va, b, vb, t: va + vb < t[a & b] + t[a | b]),
@@ -284,31 +289,31 @@ def argmax_family(u: SetFunction, menu: Subset) -> SetFamily:
     return SetFamily(u.ground, frozenset(args))
 
 
-def _least_maximizer_table(vals: Sequence[int]) -> tuple[list[int], int | None]:
-    """Send each menu to the intersection of the maximizers of ``vals`` over
-    its submasks, walking menus in ascending mask order.
+def _subset_max(
+    vals: np.ndarray, op: np.ufunc = np.bitwise_and
+) -> tuple[np.ndarray, np.ndarray]:
+    """Subset-max transform along the last axis of ``vals``, 2^n values
+    per row (int64, or object for exact big ints).
 
-    Returns the table and None when every intersection is itself a
-    maximizer (the least one); otherwise the table so far and the first
-    menu where it is not.
+    Returns ``best``, the maximum of ``vals`` over the submasks of each
+    mask, and ``tied``, ``op`` reduced over the submasks attaining it:
+    their intersection for ``np.bitwise_and``, their union for
+    ``np.bitwise_or``. Step i folds each mask without bit i into the mask
+    with it: a larger maximum takes over, an equal one combines, so n
+    vectorized steps suffice (Yates 1937).
     """
-    table = []
-    for m in range(len(vals)):
-        best = vals[m]
-        inter = m
-        sub = (m - 1) & m
-        while sub != m:
-            v = vals[sub]
-            if v > best:
-                best = v
-                inter = sub
-            elif v == best:
-                inter &= sub
-            sub = (sub - 1) & m
-        if vals[inter] != best:
-            return table, m
-        table.append(inter)
-    return table, None
+    best = vals.copy()
+    n_masks = vals.shape[-1]
+    tied = np.broadcast_to(np.arange(n_masks, dtype=np.int64), vals.shape).copy()
+    for i in range(n_masks.bit_length() - 1):
+        shape = vals.shape[:-1] + (n_masks >> (i + 1), 2, 1 << i)
+        b, t = best.reshape(shape), tied.reshape(shape)
+        b_lo, b_hi, t_lo, t_hi = b[..., 0, :], b[..., 1, :], t[..., 0, :], t[..., 1, :]
+        up = b_lo > b_hi
+        op(t_hi, t_lo, out=t_hi, where=b_lo == b_hi)
+        np.copyto(t_hi, t_lo, where=up)
+        np.copyto(b_hi, b_lo, where=up)
+    return best, tied
 
 
 def _first_incomparable_pair(vals: Sequence[int], m: int) -> tuple[int, int] | None:
@@ -324,14 +329,21 @@ def induce_cf(u: SetFunction) -> ChoiceFunction:
     """Send each menu to the least maximizer of u over its subsets.
 
     The least maximizer is computed as the intersection of all maximizers
-    and then verified to be a maximizer itself; uniqueness is only
-    guaranteed for supermodular u, so a failed verification raises
-    ``NoUniqueMinimizerError`` with the offending menu and an incomparable
-    pair of maximizers rather than guessing.
+    and then verified to be a maximizer itself: with ``best[m]`` the
+    maximum of u over the submasks of m and ``inter[m]`` the intersection
+    of the submasks attaining it, both from one subset-max transform in
+    O(n·2^n), menu m has a least maximizer exactly when
+    ``u(inter[m]) == best[m]``, and then it is ``inter[m]``. Uniqueness is
+    only guaranteed for supermodular u, so the first menu in ascending
+    mask order where this fails raises ``NoUniqueMinimizerError`` with an
+    incomparable pair of its maximizers rather than guessing.
     """
     ground = u.ground
-    table, m = _least_maximizer_table(u._scaled_ints)
-    if m is not None:
+    vals = _exact_array(u._scaled_ints)
+    best, inter = _subset_max(vals)
+    failed = vals[inter] != best
+    if failed.any():
+        m = int(failed.argmax())
         # a chain of maximizers would make its least member the
         # intersection, so a failure always exhibits an incomparable pair
         pair = _first_incomparable_pair(u._scaled_ints, m)
@@ -343,7 +355,7 @@ def induce_cf(u: SetFunction) -> ChoiceFunction:
             where=Subset(ground, m),
             pair=(Subset(ground, pair[0]), Subset(ground, pair[1])),
         )
-    return ChoiceFunction(ground, tuple(table))
+    return ChoiceFunction(ground, tuple(inter.tolist()))
 
 
 def order_from_setfn(u: SetFunction) -> SubsetWeakOrder:
@@ -377,7 +389,10 @@ def cf_from_order(w: SubsetWeakOrder) -> ChoiceFunction:
 
     Requires a supermodular weak order, which makes the maximal tier of
     every menu closed under intersection, so the least member exists and is
-    unique; that uniqueness is asserted, not assumed.
+    unique; that uniqueness is asserted, not assumed. As in ``induce_cf``,
+    one subset-max transform gives each menu's top rank ``best[m]`` and
+    the intersection ``inter[m]`` of its top tier, and the tier has a
+    least member exactly when ``rank(inter[m]) == best[m]``.
     """
     ok, witness = is_supermodular_order(w)
     if not ok:
@@ -386,13 +401,16 @@ def cf_from_order(w: SubsetWeakOrder) -> ChoiceFunction:
             f"A={witness[0]!r} B={witness[1]!r}",
             witness=witness,
         )
-    table, m = _least_maximizer_table(w.ranks)
-    if m is not None:
+    ranks = np.asarray(w.ranks, dtype=np.int64)
+    best, inter = _subset_max(ranks)
+    failed = ranks[inter] != best
+    if failed.any():
+        m = int(failed.argmax())
         raise InternalInvariantError(
             f"maximal tier of menu {Subset(w.ground, m)!r} is not closed "
             f"under intersection despite a supermodular order"
         )
-    return ChoiceFunction(w.ground, tuple(table))
+    return ChoiceFunction(w.ground, tuple(inter.tolist()))
 
 
 def random_modular(ground: GroundSet, rng: random.Random, span: int = 3) -> SetFunction:

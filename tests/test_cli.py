@@ -174,6 +174,28 @@ class TestConvert:
         values = {tuple(e["subset"]): e["value"] for e in payload["document"]["values"]}
         assert values[("b", "c")] == "1/2"
 
+    def test_huge_epsilon_exponent_refused(self, tmp_path, capsys):
+        src = write_fixture(tmp_path, "overlapping-pairs-cf")
+        for eps in ("1e100000", "1e100000000"):
+            code, out = run(capsys, "convert", src, "--to", "setfn", "--perturb", "--epsilon", eps)
+            assert code == 2
+            assert out.count("\n") == 1 and "exponent too large" in out
+        code, out = run(capsys, "convert", src, "--to", "setfn", "--perturb", "--epsilon", "1/0")
+        assert code == 2 and out.count("\n") == 1
+
+    @pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--format", "json", "-o", "out.json"]])
+    def test_convert_serializes_once(self, tmp_path, capsys, monkeypatch, extra):
+        src = write_fixture(tmp_path, "overlapping-pairs-cf")
+        calls = []
+        to_document = documents.to_document
+        monkeypatch.setattr(documents, "to_document", lambda obj: calls.append(obj) or to_document(obj))
+        extra = [str(tmp_path / a) if a.endswith(".json") else a for a in extra]
+        code, out = run(capsys, "convert", src, "--to", "setfn", *extra)
+        assert code == 0
+        assert len(calls) == 1 and type(calls[0]).__name__ == "SetFunction"
+        if "json" in extra:
+            assert json.loads(out)["stamp"]["route"] == "choice_function -> setfn"
+
     def test_preorder_roundtrip(self, tmp_path, capsys):
         src = write_fixture(tmp_path, "twin-elements-cf")
         pre = tmp_path / "p.json"

@@ -152,6 +152,18 @@ class TestLoaderErrors:
         with pytest.raises(DocumentError):
             documents.from_document(doc)
 
+    def test_kind_of_names_the_document_kind(self):
+        objs = [get_fixture(name) for name, _ in list_fixtures()]
+        cf = get_fixture("overlapping-pairs-cf")
+        lattice_cf = get_fixture("divisors-12-lattice-cf")
+        objs += [economical_lift(cf), neighborhood_system_of(cf), synthesize(lattice_cf)]
+        kinds = {documents.to_document(obj)["kind"] for obj in objs}
+        assert kinds == set(documents.KINDS)
+        for obj in objs:
+            assert documents.kind_of(obj) == documents.to_document(obj)["kind"]
+        with pytest.raises(TypeError):
+            documents.kind_of(object())
+
     def test_huge_exponent_refused_before_expanding(self):
         doc = get_fixture_document("submodular-counterexample")
         for value in ("1e100000000", "-3E-00100000000"):

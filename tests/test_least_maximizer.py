@@ -1,0 +1,279 @@
+"""The subset-max kernel against the per-menu submask walk it replaced.
+
+``supermod._subset_max`` gives each menu's maximum over its submasks and
+the intersection (or union) of the submasks attaining it, in n vectorized
+steps. ``induce_cf``, ``cf_from_order``, the ``submodular-not-substitutable``
+search and the set-function ``convert`` checks all read it. The walk below
+visits every submask of every menu; it is the reference they are compared
+with: exhaustively for small value tables, on seeded tied integers at
+n = 6, 8 and 10, on Fraction values and on values above 2^61.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations, product
+
+import numpy as np
+import pytest
+
+from compchoice import (
+    GroundSet,
+    SetFamily,
+    Subset,
+    cf_from_order,
+    induce_cf,
+    interior_cf,
+    is_supermodular_order,
+    order_from_setfn,
+    perturb,
+    random_supermodular,
+    synthesize,
+)
+from compchoice import cli
+from compchoice.enumeration import random_family
+from compchoice.errors import NoUniqueMinimizerError
+from compchoice.supermod import _INT64_GUARD, SetFunction, _exact_array, _subset_max
+
+
+def ground(n):
+    return GroundSet(tuple(f"e{i}" for i in range(n)))
+
+
+def walk(vals):
+    """Per menu: the maximum of ``vals`` over its submasks, and the
+    intersection and the union of the submasks attaining it."""
+    best, inter, union = [], [], []
+    for m in range(len(vals)):
+        top, lo, hi = vals[m], m, m
+        sub = (m - 1) & m
+        while sub != m:
+            v = vals[sub]
+            if v > top:
+                top, lo, hi = v, sub, sub
+            elif v == top:
+                lo &= sub
+                hi |= sub
+            sub = (sub - 1) & m
+        best.append(top)
+        inter.append(lo)
+        union.append(hi)
+    return best, inter, union
+
+
+def least_maximizer_oracle(vals):
+    """The intersection of the maximizers per menu in ascending mask order,
+    and the first menu where it is not itself a maximizer (or None)."""
+    best, inter, _ = walk(vals)
+    for m, (top, lo) in enumerate(zip(best, inter)):
+        if vals[lo] != top:
+            return inter[:m], m
+    return inter, None
+
+
+def incomparable_pair_oracle(vals, m):
+    subs = [s for s in range(m + 1) if s & ~m == 0]
+    top = max(vals[s] for s in subs)
+    maximizers = [s for s in subs if vals[s] == top]
+    return next((a, b) for a, b in combinations(maximizers, 2) if a & ~b and b & ~a)
+
+
+def exhaustive_tables():
+    for n, values in ((0, range(3)), (1, range(3)), (2, range(3)), (3, range(2))):
+        for vals in product(values, repeat=1 << n):
+            yield n, list(vals)
+
+
+def seeded_tables():
+    rng = random.Random(11)
+    for n in (6, 8, 10):
+        for _ in range(4):
+            yield n, [rng.randint(0, 3) for _ in range(1 << n)]
+        u = random_supermodular(ground(n), rng)
+        yield n, list(u._scaled_ints)
+
+
+def corpus():
+    """Set functions: every small table, seeded tied integers, Fraction
+    values, and integers at and above 2^61 (the object path)."""
+    for n, vals in list(exhaustive_tables()) + list(seeded_tables()):
+        yield SetFunction(ground(n), tuple(vals))
+    rng = random.Random(12)
+    for n in (3, 5, 7):
+        sup = random_supermodular(ground(n), rng)
+        yield SetFunction(ground(n), tuple(v + Fraction(rng.randint(-1, 1), 7) for v in sup.values))
+        yield SetFunction(ground(n), tuple(Fraction(rng.randint(0, 2), rng.randint(1, 3)) for _ in sup.values))
+        yield sup.scale(1 << 70)
+        yield SetFunction(ground(n), tuple(_INT64_GUARD + rng.randint(0, 2) for _ in sup.values))
+
+
+class TestKernel:
+    def test_max_and_or_match_walk(self):
+        checked = 0
+        for u in corpus():
+            vals = _exact_array(u._scaled_ints)
+            best, inter, union = walk(u._scaled_ints)
+            got_best, got_inter = _subset_max(vals)
+            assert got_best.tolist() == best
+            assert got_inter.tolist() == inter
+            assert _subset_max(vals, np.bitwise_or)[1].tolist() == union
+            checked += 1
+        assert checked > 350
+
+    def test_object_path_is_taken(self):
+        u = SetFunction(ground(3), tuple(_INT64_GUARD + (m & 1) for m in range(8)))
+        assert _exact_array(u._scaled_ints).dtype == object
+        assert induce_cf(u).table == tuple(m & 1 for m in range(8))
+
+    def test_batched_rows_equal_single_rows(self):
+        rng = random.Random(13)
+        for dtype, offset in ((np.int64, 0), (object, 1 << 70)):
+            rows = np.array(
+                [[offset + rng.randint(0, 2) for _ in range(16)] for _ in range(40)], dtype=dtype
+            )
+            best, inter = _subset_max(rows)
+            for r, row in enumerate(rows):
+                one_best, one_inter = _subset_max(row)
+                assert best[r].tolist() == one_best.tolist()
+                assert inter[r].tolist() == one_inter.tolist()
+
+    def test_no_rows(self):
+        best, inter = _subset_max(np.zeros((0, 8), dtype=np.int64))
+        assert best.shape == inter.shape == (0, 8)
+
+    def test_input_untouched(self):
+        vals = np.array([3, 1, 4, 1, 5, 9, 2, 6])
+        _subset_max(vals)
+        assert vals.tolist() == [3, 1, 4, 1, 5, 9, 2, 6]
+
+
+class TestInduceCf:
+    def test_matches_walk_on_every_instance(self):
+        failures = 0
+        for u in corpus():
+            # the oracle compares the values themselves, Fractions included
+            table, failed_at = least_maximizer_oracle(u.values)
+            if failed_at is None:
+                assert induce_cf(u).table == tuple(table)
+                continue
+            failures += 1
+            with pytest.raises(NoUniqueMinimizerError) as info:
+                induce_cf(u)
+            a, b = incomparable_pair_oracle(u.values, failed_at)
+            g = u.ground
+            assert info.value.where == Subset(g, failed_at)
+            assert info.value.pair == (Subset(g, a), Subset(g, b))
+            assert str(info.value) == (
+                f"menu {Subset(g, failed_at)!r} has no least maximizer; e.g. "
+                f"{Subset(g, a)!r} and {Subset(g, b)!r} "
+                f"both attain the maximum but their intersection does not"
+            )
+        assert failures > 50
+
+
+class TestCfFromOrder:
+    def test_matches_walk(self):
+        rng = random.Random(14)
+        orders = []
+        for n in (1, 2, 3, 5, 8):
+            g = ground(n)
+            for _ in range(6):
+                u = random_supermodular(g, rng)
+                orders.append(order_from_setfn(u))
+                orders.append(order_from_setfn(perturb(u, Fraction(1, n + 1))))
+            f = interior_cf(random_family(g, rng))
+            orders.append(order_from_setfn(synthesize(f)))
+        kept = [w for w in orders if is_supermodular_order(w)[0]]
+        assert len(kept) > 30
+        for w in kept:
+            table, failed_at = least_maximizer_oracle(w.ranks)
+            assert failed_at is None
+            assert cf_from_order(w).table == tuple(table)
+
+
+def reference_search(n, vmax):
+    """The submodular-not-substitutable search, one candidate at a time:
+    submodular tables with a least maximizer everywhere whose induced
+    choice breaks heredity, with the first (A, B) that shows it."""
+    n_masks = 1 << n
+    hits = []
+    for vals in product(range(vmax + 1), repeat=n_masks):
+        if any(vals[a] + vals[b] < vals[a & b] + vals[a | b]
+               for a in range(n_masks) for b in range(n_masks)):
+            continue
+        table, failed_at = least_maximizer_oracle(vals)
+        if failed_at is not None:
+            continue
+        wit = next(((a, b) for a in range(n_masks) for b in range(n_masks)
+                    if a & ~b == 0 and table[b] & a & ~table[a]), None)
+        if wit is not None:
+            hits.append((vals, wit))
+    return hits
+
+
+class TestSearch:
+    @pytest.mark.parametrize("n, vmax", [(1, 4), (2, 4), (3, 2)])
+    def test_found_and_matches_unchanged(self, n, vmax):
+        want = reference_search(n, vmax)
+        found, matches = cli._search_submodular_not_substitutable(n, vmax, None)
+        assert found == len(want)
+        g = cli._search_ground(n)
+        for match, (vals, (a, b)) in zip(matches, want, strict=True):
+            doc_vals = {tuple(e["subset"]): e["value"] for e in match["set_function"]["values"]}
+            assert doc_vals == {tuple(Subset(g, m).sorted_names()): str(v) for m, v in enumerate(vals)}
+            assert match["heredity_witness"]["A"] == Subset(g, a).sorted_names()
+            assert match["heredity_witness"]["B"] == Subset(g, b).sorted_names()
+        limited = cli._search_submodular_not_substitutable(n, vmax, 2)
+        assert limited == (min(2, found), matches[:2])
+
+    def test_default_count_at_n3(self):
+        # recorded from the per-candidate walk
+        assert cli._search_submodular_not_substitutable(3, 4, None)[0] == 174
+
+    @pytest.mark.parametrize("limit", [None, 1, 9])
+    def test_chunk_boundaries_change_nothing(self, monkeypatch, limit):
+        whole = cli._search_submodular_not_substitutable(3, 2, limit)
+        monkeypatch.setattr(cli, "_SEARCH_CHUNK", 7)
+        assert cli._search_submodular_not_substitutable(3, 2, limit) == whole
+
+
+class TestConvertChecks:
+    """The two set-function checks of ``convert`` catch a wrong answer."""
+
+    def setup_method(self):
+        g = ground(4)
+        self.f = interior_cf(SetFamily.of(g, [("e0", "e1"), ("e1", "e2"), ("e3",)]))
+        self.config = cli.RunConfig()
+
+    def test_honest_routes_pass(self):
+        u, checks = cli._route_cf_to_setfn(self.f, self.config, do_perturb=True)
+        assert all(c["ok"] for c in checks)
+        _, checks = cli._route_setfn_to_cf(synthesize(self.f), self.config)
+        assert all(c["ok"] for c in checks)
+
+    def test_non_least_maximizer_fails(self, monkeypatch):
+        u = synthesize(self.f)
+        _, _, union = walk(u._scaled_ints)
+        assert union != list(self.f.table)  # the largest maximizer differs somewhere
+        monkeypatch.setattr(cli, "induce_cf", lambda _: cli.ChoiceFunction(u.ground, tuple(union)))
+        _, checks = cli._route_setfn_to_cf(u, self.config)
+        assert checks == [{"name": "choice is the least maximizer on every menu", "ok": False}]
+
+    def test_non_maximizer_fails(self, monkeypatch):
+        u = synthesize(self.f)
+        table = list(self.f.table)
+        table[-1] = 0
+        monkeypatch.setattr(cli, "induce_cf", lambda _: cli.ChoiceFunction(u.ground, tuple(table)))
+        _, checks = cli._route_setfn_to_cf(u, self.config)
+        assert checks[0]["ok"] is False
+
+    @pytest.mark.parametrize("mutant", [
+        # the tie-breaking penalty left out
+        lambda u, eps: u,
+        # a bonus in place of the penalty: unique maximizers, but the largest
+        lambda u, eps: SetFunction(u.ground, tuple(v + eps * m.bit_count() for m, v in enumerate(u.values))),
+    ])
+    def test_tie_left_in_perturbed_function_fails(self, monkeypatch, mutant):
+        monkeypatch.setattr(cli, "perturb", mutant)
+        _, checks = cli._route_cf_to_setfn(self.f, self.config, do_perturb=True)
+        unique = next(c for c in checks if c["name"].startswith("perturbed maximizer"))
+        assert unique["ok"] is False

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -78,6 +79,26 @@ class TestSetFunction:
     def test_monotone_check(self, ab):
         assert cardinality_fn(ab).is_monotone()
         assert not SetFunction(ab, (1, 0, 0, 0)).is_monotone()
+
+    @pytest.mark.parametrize("values", [
+        (0, 1, 2, -3),
+        (Fraction(1, 2), Fraction(-2, 3), 5, Fraction(7, 12)),
+        ((1 << 61) + 1, -(1 << 70), Fraction(1, 3), Fraction((1 << 80) + 1, 6)),
+        (Fraction(1 << 90, 7), 0, 0, (1 << 63) - 1),
+    ])
+    def test_scaled_ints_exact(self, ab, values):
+        u = SetFunction(ab, values)
+        denom = 1
+        for v in u.values:
+            denom = denom * v.denominator // math.gcd(denom, v.denominator)
+        assert u._scaled_ints == tuple(int(v * denom) for v in u.values)
+        assert all(type(x) is int for x in u._scaled_ints)
+
+    def test_fractions_kept_as_given(self, ab):
+        values = (Fraction(1, 2), Fraction(3), 2, Fraction(-1, 5))
+        u = SetFunction(ab, values)
+        assert u.values == tuple(Fraction(v) for v in values)
+        assert u.values[0] is values[0]
 
 
 class TestClassify:
