@@ -173,9 +173,10 @@ _MAX_BLOCK_CELLS = 1 << 16
 
 
 def _first_violation(
-    t: np.ndarray, bad: Callable[..., np.ndarray]
+    t: np.ndarray, bad: Callable[..., np.ndarray], start: int = 0
 ) -> tuple[int, int] | None:
-    """First (A, B) in row-major mask order with ``bad(a, ta, b, tb, t)``.
+    """First (A, B) in row-major mask order with ``bad(a, ta, b, tb, t)``,
+    scanning rows from ``start``, below which the caller knows none lies.
 
     ``t`` holds one value per mask (int64, or object for exact big ints);
     ``a`` and ``ta`` are a column of row masks and their values, ``b`` and
@@ -188,7 +189,6 @@ def _first_violation(
     b, tb = a.T, ta.T
     rows = max(1, _FIRST_BLOCK_CELLS // n_masks)
     max_rows = max(1, _MAX_BLOCK_CELLS // n_masks)
-    start = 0
     while start < n_masks:
         hit = bad(a[start : start + rows], ta[start : start + rows], b, tb, t)
         k = int(hit.argmax())
@@ -219,10 +219,28 @@ def _submask_reduce(
 
 
 def _consistency_violation(f: ChoiceFunction) -> tuple[int, int] | None:
-    """First (A, B) with f(A) <= B <= A but f(B) != f(A)."""
+    """First (A, B) with f(A) <= B <= A but f(B) != f(A).
+
+    Row A holds a violation only if some C <= A has an element i outside
+    f(C) with f(C - i) != f(C): take a violating B with the most elements
+    and C = B + i for some i in A - B; (A, C) is no violation, so
+    f(C) = f(A), which misses i. As C <= A, no row below the least such C
+    holds a violation: the sweep starts there, and is skipped when there
+    is no C. Finding them takes n vectorized steps.
+    """
+    t = f._np_table
+    masks = np.arange(len(t), dtype=np.int64)
+    unchosen = masks & ~t
+    steps = np.zeros(len(t), dtype=bool)
+    for i in range(f.ground.n):
+        steps |= ((unchosen & (1 << i)) != 0) & (t[masks ^ (1 << i)] != t)
+    start = int(steps.argmax())
+    if not steps[start]:
+        return None
     return _first_violation(
-        f._np_table,
+        t,
         lambda a, ta, b, tb, t: ((ta | b) == b) & ((a | b) == a) & (tb != ta),
+        start,
     )
 
 
@@ -318,7 +336,8 @@ def _compute_report(f: ChoiceFunction) -> AxiomReport:
     # sides, which forces f(X) = X. Consistency is part of the definition
     # and does not follow from the rest.
     full_ok = f.table[full] == full
-    w_meet = _meet_preservation_violation(f)
+    # the meet sweep's witness is reported only when the other two hold
+    w_meet = _meet_preservation_violation(f) if consistent and full_ok else None
     holds["completely_complementary"] = consistent and full_ok and w_meet is None
     if not consistent:
         witnesses["completely_complementary"] = witnesses["consistent"]

@@ -229,6 +229,17 @@ class TestAnalyze:
             table[top] &= table[top] - 1  # drop one chosen element late
             rand = [rng.randrange(m + 1) & m for m in range(g.n_masks)]
             fns += [comp, ChoiceFunction(g, tuple(table)), ChoiceFunction(g, tuple(rand))]
+        # one chosen element dropped at any depth: the consistency sweep
+        # starts at the least menu whose one-element steps change f
+        for n in (4, 5, 6):
+            g = GroundSet(tuple(f"e{i}" for i in range(n)))
+            for _ in range(8):
+                table = list(random_complementary_cf(g, rng).table)
+                chosen = [m for m in range(g.n_masks) if table[m]]
+                if chosen:
+                    p = rng.choice(chosen)
+                    table[p] &= table[p] - 1
+                fns.append(ChoiceFunction(g, tuple(table)))
         for f in fns:
             for sweep, bad in sweeps:
                 assert sweep(f) == first_pair(f.table, bad), (f.table, sweep)
