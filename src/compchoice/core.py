@@ -7,6 +7,7 @@ types are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,6 +41,14 @@ def ensure_tractable(n_elements: int, what: str = "powerset table") -> None:
     """Fail fast before any 2^n-sized structure above the configured cap."""
     if n_elements > powerset_limit():
         raise PowersetLimitError(needed=n_elements, limit=powerset_limit(), what=what)
+
+
+def ensure_relation_tractable(n_points: int, what: str = "relation") -> None:
+    """Fail fast before an n x n relation with more cells than a powerset
+    table at the configured cap."""
+    limit = math.isqrt(1 << powerset_limit())
+    if n_points > limit:
+        raise PowersetLimitError(needed=n_points, limit=limit, what=what)
 
 
 @dataclass(frozen=True)
@@ -343,6 +352,7 @@ class Preorder:
         otherwise the given pairs must already form a preorder.
         """
         carrier = tuple(carrier)
+        ensure_relation_tractable(len(carrier), what="preorder")
         index = {name: i for i, name in enumerate(carrier)}
         masks = [0] * len(carrier)
         for y, x in pairs:
@@ -351,12 +361,8 @@ class Preorder:
             masks[index[x]] |= 1 << index[y]
         if close:
             masks = _close_reflexive_transitive(len(carrier), masks)
-        else:
-            closed = _close_reflexive_transitive(len(carrier), list(masks))
-            for i in range(len(carrier)):
-                masks[i] |= 1 << i
-            if masks != closed:
-                raise ValueError("pairs are not reflexively and transitively closed")
+        else:  # construction rejects pairs that are not transitively closed
+            masks = [m | 1 << i for i, m in enumerate(masks)]
         return cls(carrier, tuple(masks))
 
     @property
@@ -557,6 +563,7 @@ class FiniteLattice:
         bound, or when the closure is not antisymmetric.
         """
         elems = tuple(elems)
+        ensure_relation_tractable(len(elems), what="lattice")
         index = {name: i for i, name in enumerate(elems)}
         n = len(elems)
         down = [0] * n
@@ -570,24 +577,25 @@ class FiniteLattice:
             for i in range(n):
                 down[i] |= 1 << i
         ups = _transpose(down)
+        by_down, by_up = {}, {}
+        for k in reversed(range(n)):  # the first element with a down- or up-set wins
+            by_down[down[k]] = by_up[ups[k]] = k
         meet = [[0] * n for _ in range(n)]
         join = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                lower = down[i] & down[j]
-                glb = [k for k in range(n) if down[k] == lower]
-                if not glb:
+                glb = by_down.get(down[i] & down[j])
+                if glb is None:
                     raise NotALatticeError(
                         f"{elems[i]!r} and {elems[j]!r} have no greatest lower bound"
                     )
-                meet[i][j] = glb[0]
-                upper = ups[i] & ups[j]
-                lub = [k for k in range(n) if ups[k] == upper]
-                if not lub:
+                meet[i][j] = glb
+                lub = by_up.get(ups[i] & ups[j])
+                if lub is None:
                     raise NotALatticeError(
                         f"{elems[i]!r} and {elems[j]!r} have no least upper bound"
                     )
-                join[i][j] = lub[0]
+                join[i][j] = lub
         return cls(elems, tuple(down), tuple(tuple(r) for r in meet), tuple(tuple(r) for r in join))
 
     @property

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, Mapping
 
-from .choicefn import ChoiceFunction, ideal_cf
+from .choicefn import ChoiceFunction
 from .core import FiniteLattice, GroundSet, Preorder, SetFamily, Subset, ensure_tractable
 from .errors import (
     CompChoiceError,
@@ -24,7 +24,7 @@ from .errors import (
 from .latticecf import LatticeCF, LatticeFunction
 from .pretop import NeighborhoodSystem
 from .supermod import SetFunction
-from .transport import Lift, PointMap, direct_image
+from .transport import Lift, PointMap, ideal_image
 
 
 def _fail(msg: str) -> None:
@@ -300,7 +300,7 @@ def lift_to_doc(lift: Lift) -> dict:
 
 def direct_source_of(lift: Lift) -> ChoiceFunction:
     """The function the lift transports to (recomputed, not stored)."""
-    return direct_image(lift.phi, lift.g)
+    return ideal_image(lift.phi, lift.order)
 
 
 def lift_from_doc(doc: Mapping, *, verify: bool = True) -> Lift:
@@ -334,8 +334,7 @@ def lift_from_doc(doc: Mapping, *, verify: bool = True) -> Lift:
         order = Preorder.from_pairs(space.elements, pairs)
     except ValueError as exc:
         _fail(f"bad pair order: {exc}")
-    g = ideal_cf(order)
-    lift = Lift(space=space, phi=phi, g=g, kind=kind, order=order)
+    lift = Lift(space=space, phi=phi, kind=kind, order=order)
     if verify:
         failures = lift.verification_failures(source)
         if failures:

@@ -165,6 +165,17 @@ def _require_lattice_complementary(f: LatticeCF, op: str) -> LatticeAxiomReport:
     return rep
 
 
+def _missing_join(lat: FiniteLattice, members: list[int]) -> tuple[str, str] | None:
+    """The first pair of members, in the caller's order, whose join is not
+    a member; None when the members are closed under pairwise joins."""
+    member_set = set(members)
+    for i in members:
+        for j in members:
+            if lat.join_table[i][j] not in member_set:
+                return lat.elems[i], lat.elems[j]
+    return None
+
+
 def fix_set(f: LatticeCF) -> tuple[str, ...]:
     """The fixed elements of a complementary f, in element order.
 
@@ -178,16 +189,11 @@ def fix_set(f: LatticeCF) -> tuple[str, ...]:
     image = sorted(set(f.table))
     if fixed != image:
         raise InternalInvariantError("fixed elements differ from the image")
-    fixed_set = set(fixed)
-    if lat._bottom_i not in fixed_set:
+    if lat._bottom_i not in fixed:
         raise InternalInvariantError("bottom is not fixed")
-    for i in fixed:
-        for j in fixed:
-            if lat.join_table[i][j] not in fixed_set:
-                raise InternalInvariantError(
-                    f"fixed elements are not join-closed at "
-                    f"({lat.elems[i]!r}, {lat.elems[j]!r})"
-                )
+    missing = _missing_join(lat, fixed)
+    if missing:
+        raise InternalInvariantError(f"fixed elements are not join-closed at {missing!r}")
     return tuple(lat.elems[i] for i in fixed)
 
 
@@ -207,15 +213,13 @@ def cf_from_fix(lattice: FiniteLattice, fixed: Iterable[str]) -> LatticeCF:
         raise JoinClosureError(
             f"fixed family must contain the bottom {lat.bottom!r} (the empty join)"
         )
-    idx_set = set(idxs)
-    for i in idxs:
-        for j in idxs:
-            if lat.join_table[i][j] not in idx_set:
-                raise JoinClosureError(
-                    f"fixed family is not join-closed: join of {lat.elems[i]!r} "
-                    f"and {lat.elems[j]!r} is missing",
-                    pair=(lat.elems[i], lat.elems[j]),
-                )
+    missing = _missing_join(lat, idxs)
+    if missing:
+        x, y = missing
+        raise JoinClosureError(
+            f"fixed family is not join-closed: join of {x!r} and {y!r} is missing",
+            pair=missing,
+        )
     table = []
     for x in range(lat.n):
         below = [z for z in idxs if lat.down_masks[x] >> z & 1]
@@ -411,14 +415,5 @@ def all_join_closed_families(lattice: FiniteLattice) -> Iterable[tuple[str, ...]
         members = [lat._bottom_i] + [
             others[k] for k in range(len(others)) if pick >> k & 1
         ]
-        member_set = set(members)
-        ok = True
-        for i in members:
-            for j in members:
-                if lat.join_table[i][j] not in member_set:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield tuple(lat.elems[i] for i in sorted(member_set))
+        if _missing_join(lat, members) is None:
+            yield tuple(lat.elems[i] for i in sorted(members))

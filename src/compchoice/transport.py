@@ -6,18 +6,26 @@ other direction, every complementary f arises this way from a completely
 complementary g: build the space of pairs (element, open menu containing
 it), order pairs by inclusion of their menu components, and take the
 largest-ideal chooser. The economical variant restricts the pair space to
-minimal neighborhoods. Both constructions assert their own postconditions
-and fail loudly rather than return an unchecked object: those
-postconditions are the entire point of a lift.
+minimal neighborhoods.
+
+A lift keeps g as its preorder, not as a table of 2^|pairs| rows. Both
+constructions fail loudly unless the point map and the preorder live on the
+pair space and the direct image, one subset-OR transform (``ideal_image``),
+reproduces f. ``Preorder`` checks reflexivity and transitivity when built;
+that g is completely complementary holds for every preorder by the theorem,
+so it is not re-checked. ``Lift.g`` builds the table on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
-from .choicefn import ChoiceFunction, ideal_cf
-from .core import GroundSet, Preorder, Subset, ensure_tractable
+import numpy as np
+
+from .choicefn import ChoiceFunction, _submask_reduce, ideal_cf
+from .core import GroundSet, Preorder, Subset, ensure_relation_tractable, ensure_tractable
 from .errors import GroundSetMismatchError, InternalInvariantError
 
 from .pretop import _require_complementary, minimal_neighborhoods, open_sets
@@ -70,16 +78,6 @@ class PointMap:
                 out |= 1 << i
         return out
 
-    def image_subset(self, s: Subset) -> Subset:
-        if s.ground != self.source:
-            raise GroundSetMismatchError("subset is not over the map's source")
-        return Subset(self.target, self.image_mask(s.bits))
-
-    def preimage_subset(self, s: Subset) -> Subset:
-        if s.ground != self.target:
-            raise GroundSetMismatchError("subset is not over the map's target")
-        return Subset(self.source, self.preimage_mask(s.bits))
-
 
 def direct_image(phi: PointMap, g: ChoiceFunction) -> ChoiceFunction:
     """Push g forward along phi: choose the image of what g chooses from
@@ -94,6 +92,18 @@ def direct_image(phi: PointMap, g: ChoiceFunction) -> ChoiceFunction:
     return ChoiceFunction.build(phi.target, rule)
 
 
+def ideal_image(phi: PointMap, order: Preorder) -> ChoiceFunction:
+    """``direct_image(phi, ideal_cf(order))`` without the chooser's table:
+    phi(p) is chosen from A exactly when phi(ideal(p)) lies inside A, so
+    this is the subset-OR transform of the points phi(p) seeded there."""
+    if order.carrier != phi.source.elements:
+        raise GroundSetMismatchError("preorder carrier is not the map's source")
+    seeds = [phi.image_mask(m) for m in order.ideal_masks]
+    points = [1 << t for t in phi.image]
+    table = _submask_reduce(phi.target.n, seeds, points, np.bitwise_or, "direct image table")
+    return ChoiceFunction(phi.target, table)
+
+
 def pair_label(x: str, u: Subset) -> str:
     """Deterministic identifier for the pair (element, menu)."""
     return f"{x}|{{{','.join(u.sorted_names())}}}"
@@ -101,30 +111,28 @@ def pair_label(x: str, u: Subset) -> str:
 
 @dataclass(frozen=True)
 class Lift:
-    """A pair space with a point map and a completely complementary chooser
-    whose direct image is the lifted function."""
+    """A pair space with a point map and a preorder whose largest-ideal
+    chooser has the lifted function as its direct image."""
 
     space: GroundSet
     phi: PointMap
-    g: ChoiceFunction
     kind: str  # "full" | "economical"
     order: Preorder
 
+    @cached_property
+    def g(self) -> ChoiceFunction:
+        """The pair chooser as a table of 2^|pairs| rows, built on request."""
+        return ideal_cf(self.order)
+
     def verification_failures(self, f: ChoiceFunction) -> list[str]:
         """Re-check the postconditions against f; empty list means verified."""
-        failures = []
-        if self.phi.source != self.space or self.g.ground != self.space:
-            failures.append("pair space, point map and chooser disagree on the ground set")
-            return failures
+        if self.phi.source != self.space or self.order.carrier != self.space.elements:
+            return ["pair space, point map and pair order disagree on the ground set"]
         if self.phi.target != f.ground:
-            failures.append("point map target differs from the lifted ground set")
-            return failures
-        if not self.g.analysis.completely_complementary:
-            wit = self.g.analysis.witnesses["completely_complementary"]
-            failures.append(f"pair chooser is not completely complementary ({wit.describe()})")
-        if direct_image(self.phi, self.g).table != f.table:
-            failures.append("direct image does not reproduce the lifted function")
-        return failures
+            return ["point map target differs from the lifted ground set"]
+        if ideal_image(self.phi, self.order).table != f.table:
+            return ["direct image does not reproduce the lifted function"]
+        return []
 
     @property
     def size(self) -> int:
@@ -133,12 +141,9 @@ class Lift:
 
 def _build_lift(f: ChoiceFunction, pairs: list[tuple[int, int]], kind: str) -> Lift:
     """Assemble and verify a lift from (element index, open mask) pairs."""
+    ensure_relation_tractable(len(pairs), what=f"{kind} lift pair order")
     ground = f.ground
-    labels = []
-    for i, u in pairs:
-        labels.append(pair_label(ground.elements[i], Subset(ground, u)))
-    ensure_tractable(len(labels), what=f"{kind} lift pair space")
-    space = GroundSet(tuple(labels))
+    space = GroundSet(tuple(pair_label(ground.elements[i], Subset(ground, u)) for i, u in pairs))
     # (y, V) <= (x, U) iff V is contained in U; only the menu components
     # matter, so reflexivity and transitivity are immediate.
     ideal_masks = []
@@ -149,9 +154,8 @@ def _build_lift(f: ChoiceFunction, pairs: list[tuple[int, int]], kind: str) -> L
                 mask |= 1 << j
         ideal_masks.append(mask)
     order = Preorder(space.elements, tuple(ideal_masks))
-    g = ideal_cf(order)
     phi = PointMap(space, ground, tuple(i for i, _ in pairs))
-    lift = Lift(space=space, phi=phi, g=g, kind=kind, order=order)
+    lift = Lift(space=space, phi=phi, kind=kind, order=order)
     failures = lift.verification_failures(f)
     if failures:
         raise InternalInvariantError(
@@ -164,9 +168,9 @@ def full_lift(f: ChoiceFunction) -> Lift:
     """Lift through all pairs (x, U) with U a nonempty open menu containing x.
 
     The empty open set contributes no pairs since it contains no elements.
-    Pair-space size is the total size of the nonempty open sets; ground
-    sets where that exceeds the powerset cap are refused up front with the
-    required size in the error.
+    Pair-space size is the total size of the nonempty open sets; a pair
+    space whose order would have more cells than a powerset table at the
+    cap is refused up front with the required size in the error.
     """
     _require_complementary(f, "full_lift")
     pairs: list[tuple[int, int]] = []

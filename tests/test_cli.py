@@ -2,13 +2,16 @@ import contextlib
 import copy
 import io
 import json
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compchoice import documents
+from compchoice import GroundSet, documents
 from compchoice.cli import main
+from compchoice.enumeration import random_complementary_cf
 from compchoice.fixtures import get_fixture, get_fixture_document
 from compchoice.latticecf import synthesize as synthesize_lattice
 from compchoice.pretop import neighborhood_system_of
@@ -222,6 +225,18 @@ class TestConvert:
             assert code == 0
             code, _ = run(capsys, "verify", out_path, "--expect", "verified")
             assert code == 0
+
+    def test_lift_route_past_twenty_pairs(self, tmp_path, capsys):
+        ground = GroundSet(tuple(f"x{i}" for i in range(10)))
+        f = random_complementary_cf(ground, random.Random(10))
+        src = tmp_path / "f.json"
+        src.write_text(documents.dumps(f), encoding="utf-8")
+        out_path = tmp_path / "lift.json"
+        code, _ = run(capsys, "convert", src, "--to", "lift-economical", "-o", out_path)
+        assert code == 0
+        assert len(json.loads(out_path.read_text(encoding="utf-8"))["pair_elements"]) == 32
+        code, _ = run(capsys, "verify", out_path, "--expect", "verified")
+        assert code == 0
 
     def test_neighborhoods_roundtrip(self, tmp_path, capsys):
         src = write_fixture(tmp_path, "overlapping-pairs-cf")
@@ -536,3 +551,44 @@ class TestExitContract:
                     assert text.count("\n") == 1, (argv, data, text)
 
         check()
+
+
+def chain_documents(n):
+    """A preorder, a lattice and a lift document over a descending chain of
+    n points (pairs[i] says point i + 1 lies below point i)."""
+    names = [f"p{i}" for i in range(n)]
+    chain = [[names[i + 1], names[i]] for i in range(n - 1)]
+    table = [{"menu": [], "choice": []}, {"menu": ["a"], "choice": ["a"]}]
+    source = {"kind": "choice_function", "ground": ["a"], "table": table}
+    return {
+        "preorder": {"kind": "preorder", "carrier": names, "pairs": chain},
+        "lattice": {"kind": "lattice", "elems": names, "leq": chain},
+        "lift": {
+            "kind": "lift", "lift_kind": "full", "verified": True,
+            "pair_elements": names, "phi": [[x, "a"] for x in names],
+            "order_pairs": chain, "source": source,
+        },
+    }
+
+
+class TestOrderDocumentSize:
+    """An n-point order costs n^2 cells or more to close; documents above
+    2^cap cells are refused before the closure runs."""
+
+    @pytest.mark.parametrize("kind", ["preorder", "lattice", "lift"])
+    def test_oversized_order_refused_quickly(self, kind, tmp_path, capsys):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(chain_documents(2000)[kind]), encoding="utf-8")
+        start = time.perf_counter()
+        code, out = run(capsys, "verify", path)
+        assert code == 2
+        assert time.perf_counter() - start < 0.5
+        assert "2000 elements" in out
+
+    def test_chain_lattice_of_400_verifies(self, tmp_path, capsys):
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(chain_documents(400)["lattice"]), encoding="utf-8")
+        start = time.perf_counter()
+        code, _ = run(capsys, "verify", path)
+        assert code == 0
+        assert time.perf_counter() - start < 2

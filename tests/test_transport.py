@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,26 +7,34 @@ from compchoice import (
     ChoiceFunction,
     GroundSet,
     PointMap,
+    Preorder,
     SetFamily,
     analyze,
+    choicefn,
     direct_image,
+    documents,
     economical_lift,
     full_lift,
+    ideal_cf,
     identity_cf,
     interior_cf,
     packaged,
     set_powerset_limit,
+    transport,
 )
+from compchoice.cli import main
 from compchoice.enumeration import (
     iter_complementary_by_families,
     random_complementary_cf,
 )
 from compchoice.errors import (
     GroundSetMismatchError,
+    LiftVerificationError,
     NotComplementaryError,
     PowersetLimitError,
 )
-from compchoice.transport import pair_label
+from compchoice.fixtures import get_fixture
+from compchoice.transport import ideal_image, pair_label
 
 
 @pytest.fixture
@@ -179,3 +188,108 @@ class TestEconomicalLift:
         assert lift.verification_failures(wings_cf) == []
         other = packaged(wings_cf.ground.subset(["a"]))
         assert lift.verification_failures(other) != []
+
+
+def lifts_up_to_four():
+    """Both lifts of every complementary function with n <= 3 and the
+    economical lift of every one with n = 4."""
+    for n in range(5):
+        ground = GroundSet(tuple("abcd"[:n]))
+        for f in iter_complementary_by_families(ground):
+            yield f, economical_lift(f)
+            if n <= 3:
+                yield f, full_lift(f)
+
+
+class TestIdealImage:
+    """``ideal_image`` against the image of the chooser's full table."""
+
+    def test_matches_table_image_on_every_small_lift(self):
+        count = 0
+        for f, lift in lifts_up_to_four():
+            image = ideal_image(lift.phi, lift.order)
+            assert image.table == direct_image(lift.phi, ideal_cf(lift.order)).table
+            assert image.table == f.table
+            count += 1
+        assert count == 2622
+
+    def test_matches_table_image_on_random_preorders(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            ny, nx = rng.randint(0, 8), rng.randint(1, 5)
+            names = tuple(f"y{i}" for i in range(ny))
+            pairs = [
+                (rng.choice(names), rng.choice(names))
+                for _ in range(rng.randint(0, 2 * ny) if ny else 0)
+            ]
+            order = Preorder.from_pairs(names, pairs)
+            target = GroundSet(tuple(f"x{i}" for i in range(nx)))
+            phi = PointMap(order.ground, target, tuple(rng.randrange(nx) for _ in range(ny)))
+            assert ideal_image(phi, order).table == direct_image(phi, ideal_cf(order)).table
+
+    def test_carrier_mismatch(self, ab):
+        phi = PointMap.from_names(ab, ab, {"a": "a", "b": "b"})
+        with pytest.raises(GroundSetMismatchError):
+            ideal_image(phi, Preorder.from_pairs(("b", "a"), []))
+
+
+class TestLiftKeepsOnlyItsPreorder:
+    def test_no_lift_path_builds_or_analyzes_the_pair_chooser(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        f = get_fixture("overlapping-pairs-cf")
+        analyze_input = choicefn._compute_report
+
+        def input_only(g):
+            if g.ground != f.ground:
+                raise AssertionError("the analyzer ran on a pair chooser")
+            return analyze_input(g)
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("the pair chooser's table was built")
+
+        monkeypatch.setattr(choicefn, "_compute_report", input_only)
+        monkeypatch.setattr(transport, "ideal_cf", no_table)
+        for build in (full_lift, economical_lift):
+            lift = build(f)
+            assert lift.verification_failures(f) == []
+            text = documents.dumps(lift)
+            assert documents.dumps(documents.loads(text)) == text
+        src = tmp_path / "f.json"
+        src.write_text(documents.dumps(f), encoding="utf-8")
+        for target in ("lift", "lift-economical"):
+            out = tmp_path / f"{target}.json"
+            assert main(["convert", str(src), "--to", target, "-o", str(out)]) == 0
+            assert main(["verify", str(out), "--expect", "verified"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("n, seed", [(10, 10), (11, 11)])
+    def test_lifts_past_twenty_pairs(self, n, seed):
+        ground = GroundSet(tuple(f"x{i}" for i in range(n)))
+        f = random_complementary_cf(ground, random.Random(seed))
+        eco, full = economical_lift(f), full_lift(f)
+        assert 20 < eco.size < full.size <= 1024
+        assert eco.verification_failures(f) == []
+        assert full.verification_failures(f) == []
+
+    def test_pair_order_bound_counts_cells(self, abc):
+        # 2^5 = 32 cells: a 5 x 5 order fits, the 6 pairs of wings do not
+        f = interior_cf(SetFamily.of(abc, [("a", "b"), ("a", "c")]))
+        set_powerset_limit(5)
+        try:
+            assert economical_lift(f).size == 4
+            with pytest.raises(PowersetLimitError) as exc:
+                full_lift(f)
+            assert (exc.value.needed, exc.value.limit) == (7, 5)
+        finally:
+            set_powerset_limit(20)
+
+    def test_swapped_images_fail_verification(self, abc):
+        f = interior_cf(SetFamily.of(abc, [("a", "b"), ("a", "c")]))
+        doc = json.loads(documents.dumps(economical_lift(f)))
+        images = dict(doc["phi"])
+        first, second = "a|{a,b}", "c|{a,c}"
+        images[first], images[second] = images[second], images[first]
+        doc["phi"] = [[label, images[label]] for label in doc["pair_elements"]]
+        with pytest.raises(LiftVerificationError, match="direct image"):
+            documents.from_document(doc)
