@@ -1,14 +1,16 @@
 """Choice functions on finite powersets: the table type, axiom analysis, constructors.
 
 A choice function assigns to every menu (subset of the ground set) a chosen
-subset of that menu. ``analyze`` sweeps the defining quantifiers of each
-axiom exhaustively and reports one reproducible witness per failed axiom:
-always the first violation when menus are ordered by ascending bitmask.
+subset of that menu. ``analyze`` decides each axiom when first asked, by an
+O(n·2^n) criterion on the table, and reports one reproducible witness per
+failed axiom: always the first violation when menus are ordered by
+ascending bitmask. Only a failing axiom has its (A, B) pairs scanned, from
+the first row that can hold the witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -19,7 +21,6 @@ from .errors import (
     ContractionError,
     GroundSetMismatchError,
     InfiniteGroundSetError,
-    InternalInvariantError,
     PreconditionError,
 )
 
@@ -54,27 +55,47 @@ class Witness:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
 class AxiomReport:
-    """Outcome of the exhaustive axiom sweeps for one choice function."""
+    """The axioms of one choice function, each decided when first asked.
 
-    consistent: bool
-    monotone: bool
-    idempotent: bool
-    subadditive: bool
-    superadditive: bool
-    substitutable_heredity: bool
-    complementary: bool
-    completely_complementary: bool
-    witnesses: Mapping[str, Witness] = field(default_factory=dict)
+    A flag reads as an attribute (``report.monotone``) or by name
+    (``flag``). ``witness`` gives one axiom's witness, None when it holds,
+    and ``witnesses`` those of every failed axiom, in ``AXIOMS`` order.
+    Asking for an axiom decides it and the axioms it is defined from, no
+    others: ``complementary`` asks for consistency, and for monotonicity
+    only when consistency holds. ``analyze`` gives the report of a table.
+    """
 
-    def flag(self, axiom: str) -> bool:
+    def __init__(self, ground: GroundSet, table: np.ndarray) -> None:
+        self.ground = ground
+        self._t = table
+        self._found: dict[str, Witness | None] = {}
+
+    consistent = property(lambda self: self.flag("consistent"))
+    monotone = property(lambda self: self.flag("monotone"))
+    idempotent = property(lambda self: self.flag("idempotent"))
+    subadditive = property(lambda self: self.flag("subadditive"))
+    superadditive = property(lambda self: self.flag("superadditive"))
+    substitutable_heredity = property(lambda self: self.flag("substitutable_heredity"))
+    complementary = property(lambda self: self.flag("complementary"))
+    completely_complementary = property(lambda self: self.flag("completely_complementary"))
+
+    def witness(self, axiom: str) -> Witness | None:
         if axiom not in AXIOMS:
             raise ValueError(f"unknown axiom {axiom!r}")
-        return getattr(self, axiom)
+        if axiom not in self._found:
+            self._found[axiom] = _DECIDERS[axiom](self)
+        return self._found[axiom]
+
+    def flag(self, axiom: str) -> bool:
+        return self.witness(axiom) is None
 
     def flags(self) -> dict[str, bool]:
-        return {a: getattr(self, a) for a in AXIOMS}
+        return {a: self.flag(a) for a in AXIOMS}
+
+    @property
+    def witnesses(self) -> dict[str, Witness]:
+        return {a: w for a in AXIOMS if (w := self.witness(a)) is not None}
 
 
 @dataclass(frozen=True)
@@ -146,24 +167,26 @@ class ChoiceFunction:
 
     @cached_property
     def analysis(self) -> AxiomReport:
-        return _compute_report(self)
+        return AxiomReport(self.ground, self._np_table)
 
     def __repr__(self) -> str:
         return f"ChoiceFunction(n={self.ground.n})"
 
 
 def analyze(f: ChoiceFunction) -> AxiomReport:
-    """Exhaustively classify f against all tracked axioms (cached per table)."""
+    """The axiom report of f, cached per table. Each axiom is decided when
+    first asked, by one O(n·2^n) criterion."""
     return f.analysis
 
 
 # ---------------------------------------------------------------------------
-# quantifier sweeps
+# deciding the axioms
 #
-# Every pair sweep is one predicate handed to ``_first_violation``, which
-# scans the (A, B) grid in row-major mask order, so each witness is the
-# first violation with menus ordered by ascending bitmask. Inclusion X <= Y
-# is written (X | Y) == Y.
+# Each pair axiom is one predicate in ``_BAD``, and its witness is the first
+# violation when ``_first_violation`` scans the (A, B) grid in row-major
+# mask order. The scan runs only once an O(n·2^n) criterion has found the
+# axiom failing, and starts at the first row the criterion leaves open.
+# Inclusion X <= Y is written (X | Y) == Y.
 
 # A sweep's first block holds about this many cells, and each later block
 # twice as many up to the cap: an early witness costs one small block, a
@@ -199,154 +222,225 @@ def _first_violation(
     return None
 
 
+def _zeta(t: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """Subset zeta transform (Yates 1937), in place: entry m becomes ``op``
+    reduced over the entries at the submasks of m. Step i folds each mask
+    without bit i into the mask with it, so n vectorized steps suffice."""
+    i = 1
+    while i < len(t):
+        v = t.reshape(-1, 2, i)
+        op(v[:, 1], v[:, 0], out=v[:, 1])
+        i <<= 1
+    return t
+
+
 def _submask_reduce(
     n: int, masks: Sequence[int], values: Sequence[int] | int, op: np.ufunc,
     what: str = "choice table",
 ) -> list[int]:
-    """Subset zeta transform (Yates 1937): entry m is ``op`` reduced over
-    the int64 values seeded at the submasks of m, 0 where there are none.
-
-    Seeds at one mask combine with ``op`` too. Step i folds each mask
-    without bit i into the mask with it, so n vectorized steps suffice.
-    """
+    """Entry m is ``op`` reduced over the int64 values seeded at the
+    submasks of m, 0 where there are none. Seeds at one mask combine with
+    ``op`` too."""
     ensure_tractable(n, what=what)
     t = np.zeros(1 << n, dtype=np.int64)
     op.at(t, np.asarray(masks, dtype=np.int64), np.asarray(values, dtype=np.int64))
-    for i in range(n):
-        v = t.reshape(-1, 2, 1 << i)
-        op(v[:, 1], v[:, 0], out=v[:, 1])
-    return t.tolist()
+    return _zeta(t, op).tolist()
 
 
-def _consistency_violation(f: ChoiceFunction) -> tuple[int, int] | None:
-    """First (A, B) with f(A) <= B <= A but f(B) != f(A).
+def _superset_reduce(t: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """Entry m is ``op`` reduced over ``t`` at the supermasks of m: the
+    subset transform of the table read backwards, since reversing the mask
+    order sends each mask to its complement."""
+    return _zeta(t[::-1].copy(), op)[::-1]
 
-    Row A holds a violation only if some C <= A has an element i outside
-    f(C) with f(C - i) != f(C): take a violating B with the most elements
-    and C = B + i for some i in A - B; (A, C) is no violation, so
-    f(C) = f(A), which misses i. As C <= A, no row below the least such C
-    holds a violation: the sweep starts there, and is skipped when there
-    is no C. Finding them takes n vectorized steps.
-    """
-    t = f._np_table
+
+def _first_true(rows: np.ndarray) -> int | None:
+    k = int(rows.argmax())
+    return k if rows[k] else None
+
+
+_BAD: dict[str, Callable[..., np.ndarray]] = {
+    # f(A) <= B <= A but f(B) != f(A)
+    "consistent": lambda a, ta, b, tb, t: ((ta | b) == b) & ((a | b) == a) & (tb != ta),
+    # A <= B but f(A) not within f(B)
+    "monotone": lambda a, ta, b, tb, t: ((a | b) == b) & ((ta | tb) != tb),
+    # f(A | B) not within f(A) | f(B)
+    "subadditive": lambda a, ta, b, tb, t: (t[a | b] & ~(ta | tb)) != 0,
+    # f(A) | f(B) not within f(A | B)
+    "superadditive": lambda a, ta, b, tb, t: ((ta | tb) & ~t[a | b]) != 0,
+    # A <= B but f(B) & A not within f(A)
+    "substitutable_heredity": lambda a, ta, b, tb, t: ((a | b) == b) & ((tb & a & ~ta) != 0),
+    # f(A & B) != f(A) & f(B)
+    "meet": lambda a, ta, b, tb, t: t[a & b] != (ta & tb),
+}
+
+
+def _row(w: Witness | None) -> int | None:
+    return None if w is None else w.menus[0].bits
+
+
+def _least(*rows: int | None) -> int | None:
+    return min((r for r in rows if r is not None), default=None)
+
+
+def _first_step(t: np.ndarray, bad: Callable[..., np.ndarray]) -> int | None:
+    """2^j for the least j such that ``bad(f(B), f(B + j), B)`` is nonzero
+    for some menu B without j, None when there is no such j."""
     masks = np.arange(len(t), dtype=np.int64)
-    unchosen = masks & ~t
-    steps = np.zeros(len(t), dtype=bool)
-    for i in range(f.ground.n):
-        steps |= ((unchosen & (1 << i)) != 0) & (t[masks ^ (1 << i)] != t)
-    start = int(steps.argmax())
-    if not steps[start]:
-        return None
-    return _first_violation(
-        t,
-        lambda a, ta, b, tb, t: ((ta | b) == b) & ((a | b) == a) & (tb != ta),
-        start,
-    )
-
-
-def _monotonicity_violation(f: ChoiceFunction) -> tuple[int, int] | None:
-    """First (A, B) with A <= B but f(A) not within f(B)."""
-    return _first_violation(
-        f._np_table, lambda a, ta, b, tb, t: ((a | b) == b) & ((ta | tb) != tb)
-    )
-
-
-def _idempotency_violation(f: ChoiceFunction) -> int | None:
-    t = f.table
-    for a in range(len(t)):
-        if t[t[a]] != t[a]:
-            return a
+    for j in range(len(t).bit_length() - 1):
+        ft, m = t.reshape(-1, 2, 1 << j), masks.reshape(-1, 2, 1 << j)
+        if bad(ft[:, 0], ft[:, 1], m[:, 0]).any():
+            return 1 << j
     return None
 
 
-def _subadditivity_violation(f: ChoiceFunction) -> tuple[int, int] | None:
-    """First (A, B) with f(A | B) not within f(A) | f(B)."""
-    return _first_violation(
-        f._np_table, lambda a, ta, b, tb, t: (t[a | b] & ~(ta | tb)) != 0
-    )
+# Each criterion below takes the report and returns the first row of the
+# (A, B) grid that holds a violation, None when the axiom holds.
 
 
-def _superadditivity_violation(f: ChoiceFunction) -> tuple[int, int] | None:
-    """First (A, B) with f(A) | f(B) not within f(A | B)."""
-    return _first_violation(
-        f._np_table, lambda a, ta, b, tb, t: ((ta | tb) & ~t[a | b]) != 0
-    )
+def _consistency_first_row(rep: AxiomReport) -> int | None:
+    """Row A holds a violation only if some C <= A has an element i outside
+    f(C) with f(C - i) != f(C): take a violating B with the most elements
+    and C = B + i for some i in A - B; (A, C) is no violation, so
+    f(C) = f(A), which misses i. Such a C is itself a violating row, with
+    B = C - i, and C <= A, so the least such C is the first row. Finding
+    them takes n vectorized steps.
+    """
+    t = rep._t
+    steps = np.zeros(len(t), dtype=bool)
+    for i in range(len(t).bit_length() - 1):
+        v = t.reshape(-1, 2, 1 << i)
+        steps.reshape(-1, 2, 1 << i)[:, 1] |= ((v[:, 1] & (1 << i)) == 0) & (v[:, 0] != v[:, 1])
+    return _first_true(steps)
 
 
-def _heredity_violation(f: ChoiceFunction) -> tuple[int, int] | None:
-    """First (A, B) with A <= B but f(B) & A not within f(A)."""
-    return _first_violation(
-        f._np_table, lambda a, ta, b, tb, t: ((a | b) == b) & ((tb & a & ~ta) != 0)
-    )
+def _monotonicity_first_row(rep: AxiomReport) -> int | None:
+    """Row A holds a violation iff f(A) is not within the AND of f(B) over
+    every B >= A."""
+    t = rep._t
+    return _first_true((t & ~_superset_reduce(t, np.bitwise_and)) != 0)
 
 
-def _meet_preservation_violation(f: ChoiceFunction) -> tuple[int, int] | None:
-    """First (A, B) with f(A & B) != f(A) & f(B)."""
-    return _first_violation(
-        f._np_table, lambda a, ta, b, tb, t: t[a & b] != (ta & tb)
-    )
+def _heredity_first_row(rep: AxiomReport) -> int | None:
+    """Row A holds a violation iff the OR of f(B) over every B >= A has an
+    element of A outside f(A)."""
+    t = rep._t
+    masks = np.arange(len(t), dtype=np.int64)
+    return _first_true((_superset_reduce(t, np.bitwise_or) & masks & ~t) != 0)
 
 
-def _compute_report(f: ChoiceFunction) -> AxiomReport:
-    ground = f.ground
-    full = ground.n_masks - 1
+# Superadditivity is monotonicity for any map, and subadditivity is
+# heredity for a contracting one (the tests check both exhaustively). Row A
+# holds a superadditive violation (A, B) iff f(A) or f(B) is not within
+# f(C), C = A | B: either row A is monotone-failing, or (B, C) is a monotone
+# violation and A contains C - B. The least such C - B is 2^j for the least
+# j where one added element j breaks monotonicity, since a violation (B, C)
+# breaks it at one of the steps that add the elements of C - B one at a
+# time. Subadditivity and heredity go the same way: an element of f(C)
+# outside f(A) | f(B) lies in A, so row A is heredity-failing, or in B - A,
+# so (B, C) is a heredity violation and A contains C - B.
 
-    def pair(hit: tuple[int, int], element: str | None = None) -> Witness:
-        return Witness("pair", (Subset(ground, hit[0]), Subset(ground, hit[1])), element)
 
-    # in AXIOMS order, which the witnesses keep
-    hits = {
-        "consistent": _consistency_violation(f),
-        "monotone": _monotonicity_violation(f),
-        "idempotent": _idempotency_violation(f),
-        "subadditive": _subadditivity_violation(f),
-        "superadditive": _superadditivity_violation(f),
-        "substitutable_heredity": _heredity_violation(f),
-    }
-    witnesses: dict[str, Witness] = {}
-    for axiom, hit in hits.items():
-        if hit is None:
-            continue
-        if axiom == "idempotent":
-            witnesses[axiom] = Witness("menu", (Subset(ground, hit),))
-        elif axiom == "substitutable_heredity":
-            a, b = hit
-            offending = f.table[b] & a & ~f.table[a]
-            name = ground.elements[(offending & -offending).bit_length() - 1]
-            witnesses[axiom] = pair(hit, name)
-        else:
-            witnesses[axiom] = pair(hit)
-    holds = {axiom: hit is None for axiom, hit in hits.items()}
+def _superadditivity_first_row(rep: AxiomReport) -> int | None:
+    twin = _row(rep.witness("monotone"))
+    if twin is None:
+        return None
+    return _least(twin, _first_step(rep._t, lambda fb, fbj, b: fb & ~fbj))
 
-    # superadditivity and monotonicity are equivalent for contracting maps;
-    # the two sweeps are independent implementations and must agree.
-    if holds["superadditive"] != holds["monotone"]:
-        raise InternalInvariantError(
-            "superadditivity sweep disagrees with monotonicity sweep"
-        )
 
-    consistent = holds["consistent"]
-    holds["complementary"] = consistent and holds["monotone"]
-    if not holds["complementary"]:
-        witnesses["complementary"] = witnesses.get("consistent") or witnesses["monotone"]
+def _subadditivity_first_row(rep: AxiomReport) -> int | None:
+    twin = _row(rep.witness("substitutable_heredity"))
+    if twin is None:
+        return None
+    return _least(twin, _first_step(rep._t, lambda fb, fbj, b: fbj & b & ~fb))
 
+
+def _meet_first_row(rep: AxiomReport) -> int | None:
+    """First row with f(A & B) != f(A) & f(B) for some B.
+
+    Let N(x) be the intersection of the menus f chooses x from, and Q the
+    elements that f does not choose from N(x). The first row is the least
+    of the first monotone-failing row and the first A with f(A) meeting Q:
+    - a monotone violation (A, B) is a meet violation;
+    - for the least A whose choice holds some x in Q, some menu B choosing
+      x does not contain A, or N(x) would be A; then x is not in
+      f(A & B), as A & B < A;
+    - a violation (A, B) has an x in f(A & B) outside f(A) or f(B), a
+      monotone violation in row A & B <= A; or an x in f(A) & f(B)
+      outside f(A & B), which contains N(x), so x is in Q or (N(x), A & B)
+      is a monotone violation in row N(x) <= A.
+    Meets are all preserved iff f is monotone and Q is empty, that is, iff
+    f chooses x from exactly the menus containing N(x): the paper's theorem
+    that a completely complementary function is a largest-ideal chooser.
+    An element y lies outside N(x) iff some menu without y yields x, so N
+    takes n ORs over the menus avoiding one element.
+    """
+    t = rep._t
+    n, full = len(t).bit_length() - 1, len(t) - 1
+    avoid = [int(np.bitwise_or.reduce(t.reshape(-1, 2, 1 << y)[:, 0], axis=None)) for y in range(n)]
+    nbhd = [full & ~sum(1 << y for y in range(n) if avoid[y] >> x & 1) for x in range(n)]
+    q = sum(1 << x for x in range(n) if not t[nbhd[x]] >> x & 1)
+    return _least(_row(rep.witness("monotone")), _first_true((t & q) != 0))
+
+
+def _pair_witness(
+    rep: AxiomReport, axiom: str, first_row: Callable[[AxiomReport], int | None]
+) -> Witness | None:
+    """The first violation of a pair axiom, None when it holds.
+
+    ``first_row`` decides the axiom, and the sweep starts at the row it
+    gives. When the whole grid fits one sweep block, the sweep alone
+    decides, as cheaply as any criterion.
+    """
+    t, ground = rep._t, rep.ground
+    if len(t) ** 2 <= _FIRST_BLOCK_CELLS:
+        hit = _first_violation(t, _BAD[axiom])
+    else:
+        start = first_row(rep)
+        hit = None if start is None else _first_violation(t, _BAD[axiom], start)
+    if hit is None:
+        return None
+    a, b = hit
+    element = None
+    if axiom == "substitutable_heredity":
+        offending = int(t[b]) & a & ~int(t[a])
+        element = ground.elements[(offending & -offending).bit_length() - 1]
+    return Witness("pair", (Subset(ground, a), Subset(ground, b)), element)
+
+
+def _idempotency_witness(rep: AxiomReport) -> Witness | None:
+    t = rep._t
+    a = _first_true(t[t] != t)
+    return None if a is None else Witness("menu", (Subset(rep.ground, a),))
+
+
+def _complete_complementarity_witness(rep: AxiomReport) -> Witness | None:
     # Complete complementarity: preservation of intersections of arbitrary
     # families of menus. Pairwise preservation gives every finite nonempty
     # family by induction; the empty family has intersection X on both
     # sides, which forces f(X) = X. Consistency is part of the definition
     # and does not follow from the rest.
-    full_ok = f.table[full] == full
-    # the meet sweep's witness is reported only when the other two hold
-    w_meet = _meet_preservation_violation(f) if consistent and full_ok else None
-    holds["completely_complementary"] = consistent and full_ok and w_meet is None
-    if not consistent:
-        witnesses["completely_complementary"] = witnesses["consistent"]
-    elif not full_ok:
-        witnesses["completely_complementary"] = Witness("full_menu", (Subset(ground, full),))
-    elif w_meet is not None:
-        witnesses["completely_complementary"] = pair(w_meet)
+    wit = rep.witness("consistent")
+    if wit is not None:
+        return wit
+    full = len(rep._t) - 1
+    if rep._t[full] != full:
+        return Witness("full_menu", (Subset(rep.ground, full),))
+    return _pair_witness(rep, "meet", _meet_first_row)
 
-    return AxiomReport(**holds, witnesses=witnesses)
+
+_DECIDERS: dict[str, Callable[[AxiomReport], Witness | None]] = {
+    "consistent": lambda rep: _pair_witness(rep, "consistent", _consistency_first_row),
+    "monotone": lambda rep: _pair_witness(rep, "monotone", _monotonicity_first_row),
+    "idempotent": _idempotency_witness,
+    "subadditive": lambda rep: _pair_witness(rep, "subadditive", _subadditivity_first_row),
+    "superadditive": lambda rep: _pair_witness(rep, "superadditive", _superadditivity_first_row),
+    "substitutable_heredity": lambda rep: _pair_witness(
+        rep, "substitutable_heredity", _heredity_first_row
+    ),
+    "complementary": lambda rep: rep.witness("consistent") or rep.witness("monotone"),
+    "completely_complementary": _complete_complementarity_witness,
+}
 
 
 def witness_violates(f: ChoiceFunction, axiom: str, witness: Witness) -> bool:
@@ -373,7 +467,7 @@ def witness_violates(f: ChoiceFunction, axiom: str, witness: Witness) -> bool:
         return a & ~b == 0 and bool(t[b] & a & ~t[a])
     if axiom == "complementary":
         a, b = menus
-        # witness came from either the consistency or the monotonicity sweep
+        # the witness is either the consistency or the monotonicity one
         return (t[a] & ~b == 0 and b & ~a == 0 and t[b] != t[a]) or (
             a & ~b == 0 and bool(t[a] & ~t[b])
         )
@@ -476,6 +570,6 @@ def consistency_matches_idempotence(f: ChoiceFunction) -> bool:
     if not rep.monotone:
         raise PreconditionError(
             "monotone choice function required",
-            witness=rep.witnesses.get("monotone"),
+            witness=rep.witness("monotone"),
         )
     return rep.consistent == rep.idempotent

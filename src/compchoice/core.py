@@ -280,22 +280,18 @@ def is_intersection_closed(fam: SetFamily) -> bool:
 
 
 def _close_reflexive_transitive(n: int, masks: list[int]) -> list[int]:
-    """Reflexive-transitive closure of down-masks (bit j of masks[i]: j <= i)."""
+    """Reflexive-transitive closure of down-masks (bit j of masks[i]: j <= i).
+
+    Warshall's pass on bitmasks: for each point k in turn, every point
+    above k takes in the down-set of k, so n rounds close the relation.
+    """
     for i in range(n):
         masks[i] |= 1 << i
-    changed = True
-    while changed:
-        changed = False
+    for k in range(n):
+        bit, down = 1 << k, masks[k]
         for i in range(n):
-            acc = masks[i]
-            probe = acc
-            while probe:
-                j = (probe & -probe).bit_length() - 1
-                probe &= probe - 1
-                acc |= masks[j]
-            if acc != masks[i]:
-                masks[i] = acc
-                changed = True
+            if masks[i] & bit:
+                masks[i] |= down
     return masks
 
 

@@ -28,9 +28,9 @@ from .errors import (
 
 def _require_complementary(f: ChoiceFunction, op: str) -> None:
     rep = f.analysis
-    if not rep.complementary:
+    wit = rep.witness("complementary")
+    if wit is not None:
         failed = "consistency" if not rep.consistent else "monotonicity"
-        wit = rep.witnesses["complementary"]
         raise NotComplementaryError(
             f"{op} needs a complementary choice function; {failed} fails at "
             f"{wit.describe()}",
@@ -249,13 +249,13 @@ def preorder_from_cf(f: ChoiceFunction) -> Preorder:
                         f"element {x!r} has {len(fam)} minimal neighborhoods "
                         f"({', '.join(repr(s) for s in fam.subsets())}); exactly one is required",
                         report=rep,
-                        witness=rep.witnesses["completely_complementary"],
+                        witness=rep.witness("completely_complementary"),
                     )
             raise InternalInvariantError(
-                "complementary input with singleton minimal neighborhoods "
-                "failed the meet-preservation sweep"
+                "complementary input with one minimal neighborhood per element "
+                "was found not to preserve meets"
             )
-        wit = rep.witnesses["completely_complementary"]
+        wit = rep.witness("completely_complementary")
         raise NotCompletelyComplementaryError(
             f"completely complementary choice function required; violation at "
             f"{wit.describe()}",

@@ -12,12 +12,17 @@ from compchoice import (
     classify,
     cofinite,
     consistency_matches_idempotence,
+    decompose,
+    economical_lift,
     ideal_cf,
     identity_cf,
+    induce_cf,
+    interior_cf,
     is_supermodular_order,
     order_from_setfn,
     packaged,
     supermod,
+    synthesize,
     threshold,
     union,
     witness_violates,
@@ -33,6 +38,7 @@ from compchoice.errors import (
     InfiniteGroundSetError,
     PreconditionError,
 )
+from compchoice.cli import main
 from compchoice.supermod import SetFunction, random_supermodular
 import random
 
@@ -48,6 +54,51 @@ def first_pair(table, bad):
     ``bad(table, A, B)``, or None."""
     menus = range(len(table))
     return next(((a, b) for a in menus for b in menus if bad(table, a, b)), None)
+
+
+PAIR_ORACLES = {
+    "consistent": lambda t, a, b: t[a] & ~b == 0 and b & ~a == 0 and t[b] != t[a],
+    "monotone": lambda t, a, b: a & ~b == 0 and t[a] & ~t[b] != 0,
+    "subadditive": lambda t, a, b: t[a | b] & ~(t[a] | t[b]) != 0,
+    "superadditive": lambda t, a, b: (t[a] | t[b]) & ~t[a | b] != 0,
+    "substitutable_heredity": lambda t, a, b: a & ~b == 0 and t[b] & a & ~t[a] != 0,
+}
+MEET_ORACLE = lambda t, a, b: t[a & b] != t[a] & t[b]  # noqa: E731
+
+
+def oracle_pairs(table):
+    """First violation of each pair axiom, and of meet preservation where
+    the report asks for it: on consistent tables choosing the full menu."""
+    out = {axiom: first_pair(table, bad) for axiom, bad in PAIR_ORACLES.items()}
+    if out["consistent"] is None and table[-1] == len(table) - 1:
+        out["meet"] = first_pair(table, MEET_ORACLE)
+    return out
+
+
+def report_pairs(rep):
+    """The report's pair witnesses as mask pairs, in ``oracle_pairs`` form."""
+    def bits(w):
+        return w and (w.menus[0].bits, w.menus[1].bits)
+
+    out = {axiom: bits(rep.witness(axiom)) for axiom in PAIR_ORACLES}
+    w = rep.witness("completely_complementary")
+    if rep.consistent and (w is None or w.kind == "pair"):
+        out["meet"] = bits(w)
+    return out
+
+
+def record_sweeps(monkeypatch):
+    """Record (axiom, start) for every call of the witness sweep."""
+    calls = []
+    sweep = choicefn._first_violation
+    axiom_of = {bad: axiom for axiom, bad in choicefn._BAD.items()}
+
+    def recording(t, bad, start=0):
+        calls.append((axiom_of[bad], start))
+        return sweep(t, bad, start)
+
+    monkeypatch.setattr(choicefn, "_first_violation", recording)
+    return calls
 
 
 class TestChoiceFunction:
@@ -202,26 +253,13 @@ class TestAnalyze:
                 assert rep.complementary
 
     def test_sweeps_match_first_witness_oracle(self, ab, abc):
-        # every pair sweep against a definitional row-major scan: exhaustive
-        # over contracting tables for n <= 3, then seeded larger tables
-        sweeps = [
-            (choicefn._consistency_violation,
-             lambda t, a, b: t[a] & ~b == 0 and b & ~a == 0 and t[b] != t[a]),
-            (choicefn._monotonicity_violation,
-             lambda t, a, b: a & ~b == 0 and t[a] & ~t[b] != 0),
-            (choicefn._subadditivity_violation,
-             lambda t, a, b: t[a | b] & ~(t[a] | t[b]) != 0),
-            (choicefn._superadditivity_violation,
-             lambda t, a, b: (t[a] | t[b]) & ~t[a | b] != 0),
-            (choicefn._heredity_violation,
-             lambda t, a, b: a & ~b == 0 and t[b] & a & ~t[a] != 0),
-            (choicefn._meet_preservation_violation,
-             lambda t, a, b: t[a & b] != t[a] & t[b]),
-        ]
+        # every pair witness against a definitional row-major scan:
+        # exhaustive over contracting tables for n <= 3, then seeded larger
+        # tables, where the criteria decide and the sweeps only place
         fns = [f for g in (GroundSet(()), GroundSet(("a",)), ab, abc)
                for f in iter_contracting_tables(g)]
         rng = random.Random(11)
-        for n in (6, 8, 10):
+        for n in (6, 7, 8, 10):
             g = GroundSet(tuple(f"e{i}" for i in range(n)))
             comp = random_complementary_cf(g, rng)
             table = list(comp.table)
@@ -231,7 +269,7 @@ class TestAnalyze:
             fns += [comp, ChoiceFunction(g, tuple(table)), ChoiceFunction(g, tuple(rand))]
         # one chosen element dropped at any depth: the consistency sweep
         # starts at the least menu whose one-element steps change f
-        for n in (4, 5, 6):
+        for n in (4, 5, 6, 7):
             g = GroundSet(tuple(f"e{i}" for i in range(n)))
             for _ in range(8):
                 table = list(random_complementary_cf(g, rng).table)
@@ -240,9 +278,45 @@ class TestAnalyze:
                     p = rng.choice(chosen)
                     table[p] &= table[p] - 1
                 fns.append(ChoiceFunction(g, tuple(table)))
+        # preorder choosers, whole and with one element dropped: meets are
+        # preserved, then not
+        for n in (7, 8):
+            carrier = tuple(f"e{i}" for i in range(n))
+            pairs = [(rng.choice(carrier), rng.choice(carrier)) for _ in range(n)]
+            table = list(ideal_cf(Preorder.from_pairs(carrier, pairs)).table)
+            fns.append(ChoiceFunction(GroundSet(carrier), tuple(table)))
+            p = rng.randrange(1, len(table) - 1)
+            table[p] &= table[p] - 1
+            fns.append(ChoiceFunction(GroundSet(carrier), tuple(table)))
         for f in fns:
-            for sweep, bad in sweeps:
-                assert sweep(f) == first_pair(f.table, bad), (f.table, sweep)
+            assert report_pairs(analyze(f)) == oracle_pairs(f.table), f.table
+
+    def test_criteria_match_first_failing_row(self, ab, abc, monkeypatch):
+        # with the one-block shortcut off, the criteria decide every axiom
+        # on every contracting table with n <= 3 and on seeded tables: a
+        # sweep runs only for a failing axiom, once, from its first failing
+        # row
+        fns = [f for g in (GroundSet(("a",)), ab, abc) for f in iter_contracting_tables(g)]
+        rng = random.Random(3)
+        for n in (4, 5):
+            g = GroundSet(tuple(f"e{i}" for i in range(n)))
+            for _ in range(40):
+                table = list(random_complementary_cf(g, rng).table)
+                for _ in range(rng.randrange(3)):
+                    p = rng.randrange(g.n_masks)
+                    table[p] &= rng.randrange(g.n_masks)
+                fns.append(ChoiceFunction(g, tuple(table)))
+        calls = record_sweeps(monkeypatch)
+        monkeypatch.setattr(choicefn, "_FIRST_BLOCK_CELLS", 1)
+        for f in fns:
+            calls.clear()
+            want = oracle_pairs(f.table)
+            assert report_pairs(f.analysis) == want, f.table
+            swept = [axiom for axiom, _ in calls]
+            assert len(swept) == len(set(swept))
+            for axiom, start in calls:
+                assert want[axiom] is not None
+                assert start == want[axiom][0], (f.table, axiom)
 
     def test_set_function_sweeps_match_first_witness_oracle(self):
         # classify's two sides and the supermodular-order sweep, on exact
@@ -279,6 +353,41 @@ class TestAnalyze:
             _, wit = is_supermodular_order(order)
             want = first_pair(order.ranks, order_bad(order.ranks))
             assert (wit and (wit[0].bits, wit[1].bits)) == want
+
+
+class TestSweepsOnlyPlaceWitnesses:
+    def test_holding_axioms_never_sweep(self, monkeypatch):
+        calls = record_sweeps(monkeypatch)
+        g = GroundSet(tuple(f"e{i}" for i in range(12)))
+        assert all(analyze(identity_cf(g)).flags().values())
+        assert calls == []
+        rep = analyze(random_complementary_cf(g, random.Random(12)))
+        flags, witnesses = rep.flags(), rep.witnesses
+        assert flags["complementary"] and not flags["substitutable_heredity"]
+        swept = [axiom for axiom, _ in calls]
+        assert "meet" in swept and len(swept) == len(set(swept))
+        for axiom, start in calls:
+            name = "completely_complementary" if axiom == "meet" else axiom
+            assert not flags[name]
+            assert start == witnesses[name].menus[0].bits
+
+    def test_preconditions_decide_only_consistency_and_monotonicity(
+        self, monkeypatch, capsys
+    ):
+        def refuse(rep):
+            raise AssertionError("a precondition decided an axiom it does not need")
+
+        for axiom in ("idempotent", "subadditive", "superadditive",
+                      "substitutable_heredity", "completely_complementary"):
+            monkeypatch.setitem(choicefn._DECIDERS, axiom, refuse)
+        g = GroundSet(tuple(f"e{i}" for i in range(8)))
+        f = random_complementary_cf(g, random.Random(8))
+        assert induce_cf(synthesize(f)).table == f.table
+        assert interior_cf(decompose(f)).table == f.table
+        assert economical_lift(f).verification_failures(f) == []
+        assert main(["search", "--pattern", "custom-predicate", "--n", "3",
+                     "--predicate", "monotone&!consistent"]) == 0
+        assert capsys.readouterr().out.endswith("n=3: 155 match(es)\n")
 
 
 class TestConstructors:

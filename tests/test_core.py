@@ -1,3 +1,4 @@
+import random
 import threading
 
 import pytest
@@ -18,6 +19,7 @@ from compchoice import (
     set_powerset_limit,
     union_closure,
 )
+from compchoice.core import _close_reflexive_transitive
 from compchoice.enumeration import iter_preorders
 from compchoice.errors import (
     GroundSetMismatchError,
@@ -178,6 +180,34 @@ class TestPreorder:
         p = Preorder.from_pairs(("a",), [])
         with pytest.raises(ValueError):
             principal_ideal(p, "z")
+
+    def test_closure_matches_repeated_passes(self):
+        # the deleted fixed-point loop, kept as the oracle for Warshall's pass
+        def repeated_passes(n, masks):
+            masks = [m | 1 << i for i, m in enumerate(masks)]
+            changed = True
+            while changed:
+                changed = False
+                for i in range(n):
+                    acc = probe = masks[i]
+                    while probe:
+                        j = (probe & -probe).bit_length() - 1
+                        probe &= probe - 1
+                        acc |= masks[j]
+                    if acc != masks[i]:
+                        masks[i], changed = acc, True
+            return masks
+
+        rng = random.Random(7)
+        cases = [[1 << (i - 1) if i else 0 for i in range(1024)],  # ascending chain
+                 [1 << (i + 1) if i < 1023 else 0 for i in range(1024)]]  # descending
+        for n in (0, 1, 5, 17, 64):
+            for density in (0.02, 0.1, 0.4):
+                cases.append([sum(1 << j for j in range(n) if rng.random() < density)
+                              for _ in range(n)])
+        for masks in cases:
+            n = len(masks)
+            assert _close_reflexive_transitive(n, list(masks)) == repeated_passes(n, masks)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_ideals_closed_both_ways(self, n):
