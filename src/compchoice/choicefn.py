@@ -166,6 +166,16 @@ class ChoiceFunction:
         return np.asarray(self.table, dtype=np.int64)
 
     @cached_property
+    def _newly_chosen(self) -> np.ndarray:
+        """Entry m: the elements chosen from m but from no menu one element
+        smaller; for monotone f, exactly those with m a minimal neighborhood."""
+        t = self._np_table
+        fresh = t.copy()
+        for i in range(self.ground.n):
+            fresh.reshape(-1, 2, 1 << i)[:, 1] &= ~t.reshape(-1, 2, 1 << i)[:, 0]
+        return fresh
+
+    @cached_property
     def analysis(self) -> AxiomReport:
         return AxiomReport(self.ground, self._np_table)
 

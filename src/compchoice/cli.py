@@ -58,8 +58,8 @@ from .pretop import (
     preorder_from_cf,
 )
 from .supermod import (
+    ModularityClass,
     SetFunction,
-    _exact_array,
     _subset_max,
     classify,
     default_epsilon,
@@ -134,6 +134,14 @@ def _witness_text(w: Any) -> str:
 # verify
 
 
+def _modularity(cls: ModularityClass) -> tuple[dict[str, bool], dict[str, Any]]:
+    """Flags and witnesses of a set or lattice function's ``ModularityClass``."""
+    sides = (("supermodular", cls.not_supermodular), ("submodular", cls.not_submodular))
+    flags = {"supermodular": cls.is_supermodular, "submodular": cls.is_submodular,
+             "modular": cls.is_modular, "neither": cls.kind == "neither"}
+    return flags, {name: pair for name, pair in sides if pair}
+
+
 def _inspect(obj: Any) -> tuple[str, dict[str, bool], dict[str, Any]]:
     """Kind name, property flags, and witnesses for whatever was loaded."""
     if isinstance(obj, ChoiceFunction):
@@ -141,20 +149,12 @@ def _inspect(obj: Any) -> tuple[str, dict[str, bool], dict[str, Any]]:
         return "choice_function", rep.flags(), dict(rep.witnesses)
     if isinstance(obj, SetFunction):
         cls = classify(obj)
-        order_ok, order_wit = is_supermodular_order(order_from_setfn(obj))
-        flags = {
-            "supermodular": cls.is_supermodular,
-            "submodular": cls.is_submodular,
-            "modular": cls.is_modular,
-            "neither": cls.kind == "neither",
-            "monotone": obj.is_monotone(),
-            "supermodular_order": order_ok,
-        }
-        wits: dict[str, Any] = {}
-        if cls.not_supermodular:
-            wits["supermodular"] = cls.not_supermodular
-        if cls.not_submodular:
-            wits["submodular"] = cls.not_submodular
+        # a supermodular u orders subsets supermodularly, so it needs no sweep:
+        # if u(A & B) < u(A), then u(B) - u(A | B) <= u(A & B) - u(A) < 0
+        sweep = not cls.is_supermodular
+        order_ok, order_wit = is_supermodular_order(order_from_setfn(obj)) if sweep else (True, None)
+        flags, wits = _modularity(cls)
+        flags.update(monotone=obj.is_monotone(), supermodular_order=order_ok)
         if order_wit:
             wits["supermodular_order"] = order_wit
         return "set_function", flags, wits
@@ -162,19 +162,7 @@ def _inspect(obj: Any) -> tuple[str, dict[str, bool], dict[str, Any]]:
         rep = analyze_lattice(obj)
         return "lattice_cf", rep.flags(), dict(rep.witnesses)
     if isinstance(obj, LatticeFunction):
-        cls = classify_lattice(obj)
-        flags = {
-            "supermodular": cls.is_supermodular,
-            "submodular": cls.is_submodular,
-            "modular": cls.is_modular,
-            "neither": cls.kind == "neither",
-        }
-        wits = {}
-        if cls.not_supermodular:
-            wits["supermodular"] = cls.not_supermodular
-        if cls.not_submodular:
-            wits["submodular"] = cls.not_submodular
-        return "lattice_function", flags, wits
+        return "lattice_function", *_modularity(classify_lattice(obj))
     if isinstance(obj, SetFamily):
         return (
             "family",
@@ -287,7 +275,7 @@ def _route_cf_to_setfn(f: ChoiceFunction, config: RunConfig, do_perturb: bool = 
         u = perturb(u, eps)
         # the maximizers of a menu are all f(m) exactly when both their
         # intersection and their union are
-        vals, table = _exact_array(u._scaled_ints), np.array(f.table)
+        vals, table = u._scaled_ints, np.array(f.table)
         singleton = all(
             np.array_equal(_subset_max(vals, op)[1], table)
             for op in (np.bitwise_and, np.bitwise_or)
@@ -301,7 +289,7 @@ def _route_setfn_to_cf(u: SetFunction, config: RunConfig) -> tuple[Any, list[dic
     f = induce_cf(u)
     # f(m) is the least maximizer of m exactly when it attains the maximum
     # and dropping any of its elements from the menu lowers the maximum
-    vals = _exact_array(u._scaled_ints)
+    vals = u._scaled_ints
     best = _subset_max(vals)[0]
     table = np.array(f.table)
     menus = np.arange(len(table))
@@ -543,7 +531,7 @@ def _search_submodular_not_substitutable(
             a, b = pairs[k]
             first[(induced[:, b] & a & ~induced[:, a]) != 0] = k
         for t in np.flatnonzero(has_least & (first < len(pairs))):
-            u = SetFunction(ground, tuple(Fraction(v) for v in rows[t].tolist()))
+            u = SetFunction(ground, rows[t])
             a, b = pairs[first[t]]
             offending = int(induced[t, b]) & a & ~int(induced[t, a])
             matches.append(

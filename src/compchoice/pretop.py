@@ -101,21 +101,19 @@ def open_neighborhoods(f: ChoiceFunction, x: str) -> SetFamily:
 def minimal_neighborhoods(f: ChoiceFunction, x: str) -> SetFamily:
     """Inclusion-minimal neighborhoods of x: an antichain of open menus.
 
-    Openness of each member is a theorem, not an assumption; it is verified
-    here and a failure raises ``InternalInvariantError``.
+    Neighborhoods are upward closed, so one is minimal exactly when no
+    one-element removal keeps x chosen (``ChoiceFunction._newly_chosen``).
+    Openness of each member is a theorem, not an assumption; it is
+    verified here and a failure raises ``InternalInvariantError``.
     """
-    nbhd = neighborhoods(f, x)
-    masks = sorted(nbhd.masks, key=lambda m: (m.bit_count(), m))
-    minimal = []
-    for m in masks:
-        if not any(s != m and s & ~m == 0 for s in minimal):
-            minimal.append(m)
-    for m in minimal:
-        if f.table[m] != m:
-            raise InternalInvariantError(
-                f"minimal neighborhood {Subset(f.ground, m)!r} of {x!r} is not open"
-            )
-    return SetFamily(f.ground, frozenset(minimal))
+    _require_complementary(f, "neighborhoods")
+    masks = np.flatnonzero(f._newly_chosen & 1 << f.ground.index(x))
+    shut = masks[f._np_table[masks] != masks]
+    if len(shut):
+        raise InternalInvariantError(
+            f"minimal neighborhood {Subset(f.ground, int(shut[0]))!r} of {x!r} is not open"
+        )
+    return SetFamily(f.ground, frozenset(masks.tolist()))
 
 
 def is_continuous(f: ChoiceFunction) -> bool:

@@ -1,11 +1,15 @@
 """Set functions on the powerset: modularity classification and choice induction.
 
-Values are exact rationals throughout; induced choices hinge on ties, so
-floating point is rejected at construction. Classification runs two
-independent sweeps (the definitional pairwise inequality and the local
-two-element exchange criterion, equivalent on finite powersets) and
-requires them to agree, guarding an inequality-heavy module against sign
-errors.
+Values are exact rationals, kept as one integer array over one common
+denominator; floats are rejected, since induced choices hinge on ties.
+
+On a finite powerset u is supermodular exactly when the two-element exchange
+inequality u(S+i) + u(S+j) <= u(S) + u(S+i+j) holds for all S avoiding i and
+j (Topkis's increasing differences; Fujishige, *Submodular Functions and
+Optimization*), and submodular with it reversed. ``classify`` decides each
+side by this test and sweeps pairs only to place a failing side's witness.
+The weak order of a supermodular u is a supermodular order: if
+u(A & B) < u(A), then u(B) - u(A | B) <= u(A & B) - u(A) < 0.
 
 A supermodular function induces a complementary choice function by sending
 each menu to the least maximizer of the function over the menu's subsets;
@@ -27,6 +31,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import choicefn
 from .choicefn import ChoiceFunction, _first_violation, _submask_reduce
 from .core import GroundSet, SetFamily, Subset, SubsetWeakOrder, ensure_tractable
 from .errors import (
@@ -41,7 +46,7 @@ _INT64_GUARD = 1 << 61
 
 
 def _as_fraction(v) -> Fraction:
-    if isinstance(v, float):
+    if isinstance(v, (float, np.floating)):
         raise ValueError(
             "set-function values must be exact rationals; floats are rejected "
             "because induced choices are tie-driven"
@@ -49,24 +54,49 @@ def _as_fraction(v) -> Fraction:
     return Fraction(v)
 
 
-@dataclass(frozen=True)
+def _exact_array(vals: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Exact integers as int64 while pair sums fit, else as Python ints."""
+    a = vals if isinstance(vals, np.ndarray) else np.array(vals, dtype=object)
+    big = max(int(a.max()), -int(a.min()))
+    return a.astype(np.int64 if big < _INT64_GUARD else object)
+
+
 class SetFunction:
-    """An exact-rational-valued function on the full powerset."""
+    """An exact-rational-valued function on the full powerset, kept as
+    ``_scaled_ints / _denom``: one read-only ``_exact_array`` over the least
+    common denominator. ``values``, as Fractions, is built when first read."""
 
-    ground: GroundSet
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        ensure_tractable(self.ground.n, what="set-function table")
-        values = tuple(v if type(v) is Fraction else _as_fraction(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) != self.ground.n_masks:
+    def __init__(self, ground: GroundSet, values: Sequence) -> None:
+        ensure_tractable(ground.n, what="set-function table")
+        values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
+        if len(values) != ground.n_masks:
             raise ValueError("one value per subset required")
+        ints, denom = values, 1
+        if not set(map(type, values)) <= {int}:  # Python ints skip Fractions
+            fracs = tuple(v if type(v) is Fraction else _as_fraction(v) for v in values)
+            denom = math.lcm(*{v.denominator for v in fracs})
+            ints = [v.numerator * (denom // v.denominator) for v in fracs]
+            self.__dict__["values"] = fracs
+        self._init(ground, ints, denom)
+
+    def _init(self, ground: GroundSet, ints: Sequence[int], denom: int) -> SetFunction:
+        """Store integer numerators over ``denom`` > 0, in lowest terms."""
+        a = _exact_array(ints)
+        g = math.gcd(denom, int(np.gcd.reduce(a))) if denom > 1 else 1
+        if g > 1:
+            a, denom = _exact_array(a // g), denom // g
+        a.flags.writeable = False
+        self.ground, self._scaled_ints, self._denom = ground, a, denom
+        return self
+
+    @classmethod
+    def _of(cls, ground: GroundSet, ints: np.ndarray, denom: int) -> SetFunction:
+        return cls.__new__(cls)._init(ground, ints, denom)
 
     @classmethod
     def tabulate(cls, ground: GroundSet, rule: Callable[[int], Fraction | int]) -> SetFunction:
         ensure_tractable(ground.n, what="set-function table")
-        return cls(ground, tuple(_as_fraction(rule(m)) for m in range(ground.n_masks)))
+        return cls(ground, [rule(m) for m in range(ground.n_masks)])
 
     @classmethod
     def from_subset_values(
@@ -91,38 +121,62 @@ class SetFunction:
                 values[m] = _as_fraction(default)
         return cls(ground, tuple(values))
 
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        ints, d = self._scaled_ints.tolist(), self._denom
+        return tuple(map(Fraction, ints) if d == 1 else (Fraction(x, d) for x in ints))
+
     def value(self, s: Subset | int) -> Fraction:
         mask = s.bits if isinstance(s, Subset) else s
-        return self.values[mask]
+        return Fraction(int(self._scaled_ints[mask]), self._denom)
 
     def __add__(self, other: SetFunction) -> SetFunction:
         if other.ground != self.ground:
             raise GroundSetMismatchError("sum across different ground sets")
-        return SetFunction(self.ground, tuple(a + b for a, b in zip(self.values, other.values)))
+        d = math.lcm(self._denom, other._denom)
+        return SetFunction._of(self.ground, _exact_sum(
+            (self._scaled_ints, d // self._denom), (other._scaled_ints, d // other._denom)), d)
 
     def scale(self, c: Fraction | int) -> SetFunction:
         c = _as_fraction(c)
-        return SetFunction(self.ground, tuple(c * v for v in self.values))
+        return SetFunction._of(
+            self.ground, _exact_sum((self._scaled_ints, c.numerator)), self._denom * c.denominator)
 
     def is_monotone(self) -> bool:
         """Nondecreasing under inclusion (checked one added element at a time)."""
-        n = self.ground.n
-        for m in range(self.ground.n_masks):
-            for i in range(n):
-                if not m >> i & 1 and self.values[m] > self.values[m | 1 << i]:
-                    return False
-        return True
+        steps = (self._scaled_ints.reshape(-1, 2, 1 << i) for i in range(self.ground.n))
+        return all((v[:, 0] <= v[:, 1]).all() for v in steps)
 
-    @cached_property
-    def _scaled_ints(self) -> tuple[int, ...]:
-        """Values on a common denominator, as exact integers."""
-        denom = math.lcm(*{v.denominator for v in self.values})
-        if denom == 1:
-            return tuple(v.numerator for v in self.values)
-        return tuple(v.numerator * (denom // v.denominator) for v in self.values)
+    def _key(self) -> tuple:
+        return self.ground, self._denom, tuple(self._scaled_ints.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SetFunction) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"SetFunction(n={self.ground.n})"
+
+
+def _modular(ground: GroundSet, weights: Sequence[int], alpha: int = 0) -> np.ndarray:
+    """``alpha`` plus the weights of the elements in each mask, as int64."""
+    ensure_tractable(ground.n, what="set-function table")
+    t = np.full(ground.n_masks, alpha, dtype=np.int64)
+    for i, w in enumerate(weights):
+        t.reshape(-1, 2, 1 << i)[:, 1] += w
+    return t
+
+
+def _exact_sum(*terms: tuple[np.ndarray, int]) -> np.ndarray:
+    """Sum of integer arrays times integer factors, exactly: in int64 when
+    the sum of |factor| * max |entry| fits, else in Python ints. A zero
+    term adds nothing, however large its entries or its factor."""
+    sizes = [abs(k) * int(np.abs(a).max()) for a, k in terms]
+    dtype = np.int64 if sum(sizes) < 1 << 63 else object
+    zero = np.zeros(len(terms[0][0]), dtype=dtype)
+    return sum((a.astype(dtype) * k for (a, k), size in zip(terms, sizes) if size), zero)
 
 
 @dataclass(frozen=True)
@@ -160,69 +214,47 @@ class ModularityClass:
         return "neither"
 
 
-def _exact_array(vals: Sequence[int]) -> np.ndarray:
-    """Exact integers as int64 while pair sums fit, else as Python ints."""
-    fits = max(map(abs, vals)) < _INT64_GUARD
-    return np.array(vals, dtype=np.int64 if fits else object)
+# (A, B) breaks supermodularity, and submodularity, of the table t
+_BREAKS = (
+    lambda a, va, b, vb, t: va + vb > t[a & b] + t[a | b],
+    lambda a, va, b, vb, t: va + vb < t[a & b] + t[a | b],
+)
 
 
-def _pairwise_violations(
-    vals: Sequence[int],
-) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
-    """First pair breaking the supermodular inequality and first breaking
-    the submodular one, scanning (A, B) in ascending mask order. Values
-    run as int64 while pair sums fit, else as exact Python ints."""
-    v = _exact_array(vals)
-    return (
-        _first_violation(v, lambda a, va, b, vb, t: va + vb > t[a & b] + t[a | b]),
-        _first_violation(v, lambda a, va, b, vb, t: va + vb < t[a & b] + t[a | b]),
-    )
-
-
-def _local_exchange_flags(vals: Sequence[int], n: int) -> tuple[bool, bool]:
-    """(is_supermodular, is_submodular) via the two-element exchange
-    criterion: compare adding elements i and j separately against adding
-    neither and both, over all menus avoiding i and j."""
-    is_super = True
-    is_sub = True
-    for i in range(n):
-        bi = 1 << i
-        for j in range(i + 1, n):
-            bj = 1 << j
-            both = bi | bj
-            for m in range(1 << n):
-                if m & both:
-                    continue
-                lhs = vals[m | bi] + vals[m | bj]
-                rhs = vals[m] + vals[m | both]
-                if lhs > rhs:
-                    is_super = False
-                if lhs < rhs:
-                    is_sub = False
-                if not is_super and not is_sub:
-                    return False, False
+def _exchange_flags(t: np.ndarray, n: int) -> tuple[bool, bool]:
+    """(is_supermodular, is_submodular): for each i < j, one array holds
+    u(S+i+j) - u(S+i) - u(S+j) + u(S) over all S avoiding both, exact in
+    int64 when |t| < 2^61; it is >= 0 if supermodular, <= 0 if submodular."""
+    is_super = is_sub = True
+    for i in range(n - 1):
+        v = t.reshape(-1, 2, 1 << i)
+        # the gain of adding i, per mask without bit i; higher bits move down one
+        gain = (v[:, 1] - v[:, 0]).reshape(-1)
+        for j in range(i, n - 1):
+            g = gain.reshape(-1, 2, 1 << j)
+            second = g[:, 1] - g[:, 0]
+            is_super = is_super and bool(second.min() >= 0)
+            is_sub = is_sub and bool(second.max() <= 0)
+            if not (is_super or is_sub):
+                return False, False
     return is_super, is_sub
 
 
 def classify(u: SetFunction) -> ModularityClass:
-    """Classify u by exhaustive pair sweep, cross-checked against the local
-    exchange criterion; disagreement raises ``InternalInvariantError``."""
-    w_super, w_sub = _pairwise_violations(u._scaled_ints)
-    loc_super, loc_sub = _local_exchange_flags(u._scaled_ints, u.ground.n)
-    if (w_super is None) != loc_super or (w_sub is None) != loc_sub:
-        raise InternalInvariantError(
-            "pairwise modularity sweep disagrees with the local exchange sweep"
-        )
-
-    def wrap(pair):
-        if pair is None:
-            return None
-        return (Subset(u.ground, pair[0]), Subset(u.ground, pair[1]))
+    """Classify u by the exchange test, then place the first violating pair
+    in row-major mask order of each side that fails. A table of at most
+    ``choicefn._FIRST_BLOCK_CELLS`` pairs skips the test: one sweep block
+    decides and places there."""
+    t = u._scaled_ints
+    small = len(t) ** 2 <= choicefn._FIRST_BLOCK_CELLS
+    holds = (False, False) if small else _exchange_flags(t, u.ground.n)
+    pairs = [None if ok else _first_violation(t, bad) for ok, bad in zip(holds, _BREAKS)]
+    w_super, w_sub = (p and (Subset(u.ground, p[0]), Subset(u.ground, p[1])) for p in pairs)
 
     return ModularityClass(
         kind=ModularityClass.kind_of(w_super is None, w_sub is None),
-        not_supermodular=wrap(w_super),
-        not_submodular=wrap(w_sub),
+        not_supermodular=w_super,
+        not_submodular=w_sub,
     )
 
 
@@ -245,7 +277,7 @@ def synthesize(f: ChoiceFunction) -> SetFunction:
     _require_complementary(f, "synthesize")
     opens = open_sets(f).sorted_masks
     counts = _submask_reduce(f.ground.n, opens, 1, np.add, what="set-function table")
-    return SetFunction(f.ground, tuple(counts))
+    return SetFunction(f.ground, counts)
 
 
 def default_epsilon(ground: GroundSet) -> Fraction:
@@ -260,10 +292,10 @@ def perturb(u: SetFunction, eps: Fraction | int) -> SetFunction:
     eps = _as_fraction(eps)
     if eps <= 0:
         raise ValueError("perturbation rate must be positive")
-    return SetFunction(
-        u.ground,
-        tuple(v - eps * m.bit_count() for m, v in enumerate(u.values)),
-    )
+    card = _modular(u.ground, [1] * u.ground.n)
+    # u - eps |m| = (ints q - p d |m|) / (d q) for u = ints / d, eps = p / q
+    p, q, d = eps.numerator, eps.denominator, u._denom
+    return SetFunction._of(u.ground, _exact_sum((u._scaled_ints, q), (card, -p * d)), d * q)
 
 
 def argmax_family(u: SetFunction, menu: Subset) -> SetFamily:
@@ -271,22 +303,14 @@ def argmax_family(u: SetFunction, menu: Subset) -> SetFamily:
     supermodular u the family is closed under unions and intersections."""
     if menu.ground != u.ground:
         raise GroundSetMismatchError("menu over a different ground set")
-    vals = u.values
-    m = menu.bits
-    best = None
-    args: list[int] = []
-    sub = m
-    while True:
-        v = vals[sub]
-        if best is None or v > best:
-            best = v
-            args = [sub]
-        elif v == best:
-            args.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & m
-    return SetFamily(u.ground, frozenset(args))
+    return SetFamily(u.ground, frozenset(_maximizers(u._scaled_ints, menu.bits)))
+
+
+def _maximizers(vals: np.ndarray, m: int) -> list[int]:
+    """The submasks of ``m`` where ``vals`` peaks over them, ascending."""
+    subs = np.arange(m + 1)
+    subs = subs[subs & ~m == 0]
+    return subs[vals[subs] == vals[subs].max()].tolist()
 
 
 def _subset_max(
@@ -316,15 +340,6 @@ def _subset_max(
     return best, tied
 
 
-def _first_incomparable_pair(vals: Sequence[int], m: int) -> tuple[int, int] | None:
-    """First pair, in ascending mask order, of incomparable maximizers of
-    ``vals`` over the submasks of ``m``."""
-    subs = [s for s in range(m + 1) if s & ~m == 0]
-    best = max(vals[s] for s in subs)
-    maximizers = [s for s in subs if vals[s] == best]
-    return next(((a, b) for a, b in combinations(maximizers, 2) if a & ~b and b & ~a), None)
-
-
 def induce_cf(u: SetFunction) -> ChoiceFunction:
     """Send each menu to the least maximizer of u over its subsets.
 
@@ -339,15 +354,14 @@ def induce_cf(u: SetFunction) -> ChoiceFunction:
     incomparable pair of its maximizers rather than guessing.
     """
     ground = u.ground
-    vals = _exact_array(u._scaled_ints)
+    vals = u._scaled_ints
     best, inter = _subset_max(vals)
     failed = vals[inter] != best
     if failed.any():
         m = int(failed.argmax())
         # a chain of maximizers would make its least member the
         # intersection, so a failure always exhibits an incomparable pair
-        pair = _first_incomparable_pair(u._scaled_ints, m)
-        assert pair is not None
+        pair = next((a, b) for a, b in combinations(_maximizers(vals, m), 2) if a & ~b and b & ~a)
         raise NoUniqueMinimizerError(
             f"menu {Subset(ground, m)!r} has no least maximizer; e.g. "
             f"{Subset(ground, pair[0])!r} and {Subset(ground, pair[1])!r} "
@@ -361,8 +375,8 @@ def induce_cf(u: SetFunction) -> ChoiceFunction:
 def order_from_setfn(u: SetFunction) -> SubsetWeakOrder:
     """The weak order the values induce on subsets: only the comparisons
     matter for choice, not the numbers themselves."""
-    tiers = {v: r for r, v in enumerate(sorted(set(u.values)))}
-    return SubsetWeakOrder(u.ground, tuple(tiers[v] for v in u.values))
+    ranks = np.unique(u._scaled_ints, return_inverse=True)[1]
+    return SubsetWeakOrder(u.ground, tuple(ranks.reshape(-1).tolist()))
 
 
 def is_supermodular_order(
@@ -417,17 +431,7 @@ def random_modular(ground: GroundSet, rng: random.Random, span: int = 3) -> SetF
     """A random modular function: a constant plus per-element weights."""
     alpha = rng.randint(-span, span)
     beta = [rng.randint(-span, span) for _ in range(ground.n)]
-
-    def rule(m: int) -> int:
-        total = alpha
-        probe = m
-        while probe:
-            i = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            total += beta[i]
-        return total
-
-    return SetFunction.tabulate(ground, rule)
+    return SetFunction(ground, _modular(ground, beta, alpha))
 
 
 def random_supermodular(

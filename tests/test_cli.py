@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compchoice import GroundSet, documents
+from compchoice import GroundSet, cli, documents, is_supermodular_order, order_from_setfn, synthesize
 from compchoice.cli import main
 from compchoice.enumeration import random_complementary_cf
-from compchoice.fixtures import get_fixture, get_fixture_document
+from compchoice.fixtures import get_fixture, get_fixture_document, submodular_counterexample
 from compchoice.latticecf import synthesize as synthesize_lattice
 from compchoice.pretop import neighborhood_system_of
+from compchoice.supermod import SetFunction
 from compchoice.transport import economical_lift
 
 
@@ -142,6 +143,45 @@ class TestVerify:
         code, out = run(capsys, "verify", lift_path)
         assert code == 1
         assert "verified" in out
+
+
+class TestVerifySetFunction:
+    """A supermodular function's order is reported supermodular without
+    the order sweep; any other function still gets the sweep's answer."""
+
+    def test_open_set_counts_skip_the_order_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(w):
+            raise AssertionError("order sweep ran on a supermodular function")
+
+        monkeypatch.setattr(cli, "is_supermodular_order", no_sweep)
+        rng = random.Random(23)
+        for n in (2, 5, 9):
+            u = synthesize(random_complementary_cf(GroundSet(tuple(f"e{i}" for i in range(n))), rng))
+            path = tmp_path / f"u{n}.json"
+            path.write_text(documents.dumps(u), encoding="utf-8")
+            code, out = run(capsys, "verify", path, "--format", "json", "--expect", "supermodular_order")
+            payload = json.loads(out)
+            assert code == 0
+            assert payload["flags"]["supermodular_order"] is True
+            assert "supermodular_order" not in payload["witnesses"]
+
+    def test_other_functions_report_the_sweep(self):
+        rng = random.Random(24)
+        fns = [submodular_counterexample()]
+        for n in (3, 6, 8):
+            g = GroundSet(tuple(f"e{i}" for i in range(n)))
+            fns.append(SetFunction(g, [rng.randint(0, 3) for _ in range(g.n_masks)]))  # tied
+            vals = list(synthesize(random_complementary_cf(g, rng)).values)
+            vals[rng.randrange(g.n_masks // 2, g.n_masks)] += rng.choice((-1, 1))  # near miss
+            fns.append(SetFunction(g, vals))
+        reported = 0
+        for u in fns:
+            _, flags, wits = cli._inspect(u)
+            ok, wit = is_supermodular_order(order_from_setfn(u))
+            assert flags["supermodular_order"] is ok
+            assert wits.get("supermodular_order") == wit
+            reported += wit is not None
+        assert reported >= 3
 
 
 class TestConvert:

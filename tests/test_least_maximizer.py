@@ -32,7 +32,7 @@ from compchoice import (
 from compchoice import cli
 from compchoice.enumeration import random_family
 from compchoice.errors import NoUniqueMinimizerError
-from compchoice.supermod import _INT64_GUARD, SetFunction, _exact_array, _subset_max
+from compchoice.supermod import _INT64_GUARD, SetFunction, _subset_max
 
 
 def ground(n):
@@ -89,7 +89,7 @@ def seeded_tables():
         for _ in range(4):
             yield n, [rng.randint(0, 3) for _ in range(1 << n)]
         u = random_supermodular(ground(n), rng)
-        yield n, list(u._scaled_ints)
+        yield n, u._scaled_ints.tolist()
 
 
 def corpus():
@@ -110,8 +110,8 @@ class TestKernel:
     def test_max_and_or_match_walk(self):
         checked = 0
         for u in corpus():
-            vals = _exact_array(u._scaled_ints)
-            best, inter, union = walk(u._scaled_ints)
+            vals = u._scaled_ints
+            best, inter, union = walk(vals.tolist())
             got_best, got_inter = _subset_max(vals)
             assert got_best.tolist() == best
             assert got_inter.tolist() == inter
@@ -121,7 +121,7 @@ class TestKernel:
 
     def test_object_path_is_taken(self):
         u = SetFunction(ground(3), tuple(_INT64_GUARD + (m & 1) for m in range(8)))
-        assert _exact_array(u._scaled_ints).dtype == object
+        assert u._scaled_ints.dtype == object
         assert induce_cf(u).table == tuple(m & 1 for m in range(8))
 
     def test_batched_rows_equal_single_rows(self):
@@ -252,7 +252,7 @@ class TestConvertChecks:
 
     def test_non_least_maximizer_fails(self, monkeypatch):
         u = synthesize(self.f)
-        _, _, union = walk(u._scaled_ints)
+        _, _, union = walk(u._scaled_ints.tolist())
         assert union != list(self.f.table)  # the largest maximizer differs somewhere
         monkeypatch.setattr(cli, "induce_cf", lambda _: cli.ChoiceFunction(u.ground, tuple(union)))
         _, checks = cli._route_setfn_to_cf(u, self.config)

@@ -33,13 +33,27 @@ from compchoice.enumeration import (
     iter_complementary_by_families,
     iter_contracting_tables,
     iter_preorders,
+    random_complementary_cf,
 )
 from compchoice.errors import (
+    InternalInvariantError,
     NeighborhoodPropertyError,
     NotComplementaryError,
     NotCompletelyComplementaryError,
 )
 from compchoice.pretop import reconstruct
+
+
+def minimal_neighborhoods_scan(f, x):
+    """Inclusion-minimal menus from which x is chosen: the neighborhoods in
+    order of size, each kept unless a kept one lies inside it."""
+    bit = 1 << f.ground.index(x)
+    nbhd = [m for m in range(f.ground.n_masks) if f.table[m] & bit]
+    minimal = []
+    for m in sorted(nbhd, key=lambda m: (m.bit_count(), m)):
+        if not any(s != m and s & ~m == 0 for s in minimal):
+            minimal.append(m)
+    return frozenset(minimal)
 
 
 def fam(ground, *memberses):
@@ -217,6 +231,35 @@ class TestMinimalNeighborhoods:
                     assert f.table[a] == a
                     for b in masks[i + 1 :]:
                         assert a & ~b and b & ~a
+
+    def test_matches_scan_on_every_complementary_function_to_n4(self):
+        checked = 0
+        for n in range(5):
+            g = GroundSet(tuple(f"e{i}" for i in range(n)))
+            for f in iter_complementary_by_families(g):
+                for x in g.elements:
+                    assert minimal_neighborhoods(f, x).masks == minimal_neighborhoods_scan(f, x)
+                checked += 1
+        assert checked == 2551
+
+    def test_matches_scan_on_seeded_functions(self):
+        rng = random.Random(8)
+        for n in (8, 10, 12):
+            g = GroundSet(tuple(f"e{i}" for i in range(n)))
+            for _ in range(3):
+                f = random_complementary_cf(g, rng)
+                for x in g.elements:
+                    assert minimal_neighborhoods(f, x).masks == minimal_neighborhoods_scan(f, x)
+
+    def test_minimal_neighborhood_not_open_raises(self, abc, wings_cf, monkeypatch):
+        # the analysis is cached before the table is tampered with, so the
+        # precondition still passes and the openness check has to catch it
+        wings_cf.analysis.complementary
+        t = wings_cf._np_table.copy()
+        t[0b011] = 0b001
+        monkeypatch.setitem(wings_cf.__dict__, "_np_table", t)
+        with pytest.raises(InternalInvariantError, match="not open"):
+            minimal_neighborhoods(wings_cf, "a")
 
     def test_continuity_automatic_on_finite_ground(self, abc):
         for f in iter_complementary_by_families(abc):

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
+import compchoice.choicefn as choicefn
 from compchoice import (
     GroundSet,
     SetFamily,
@@ -29,7 +31,8 @@ from compchoice import (
 from compchoice.enumeration import iter_complementary_by_families
 from compchoice.errors import NoUniqueMinimizerError, PreconditionError
 from compchoice.fixtures import submodular_counterexample
-from compchoice.supermod import SetFunction
+from compchoice import supermod
+from compchoice.supermod import _INT64_GUARD, SetFunction
 
 
 def reference_classify_flags(u):
@@ -46,6 +49,49 @@ def reference_classify_flags(u):
             if lhs < rhs:
                 is_sub = False
     return is_super, is_sub
+
+
+def local_exchange_flags(vals, n):
+    """(is_supermodular, is_submodular) via the two-element exchange
+    criterion: compare adding elements i and j separately against adding
+    neither and both, over all menus avoiding i and j."""
+    is_super = True
+    is_sub = True
+    for i in range(n):
+        bi = 1 << i
+        for j in range(i + 1, n):
+            bj = 1 << j
+            both = bi | bj
+            for m in range(1 << n):
+                if m & both:
+                    continue
+                lhs = vals[m | bi] + vals[m | bj]
+                rhs = vals[m] + vals[m | both]
+                if lhs > rhs:
+                    is_super = False
+                if lhs < rhs:
+                    is_sub = False
+    return is_super, is_sub
+
+
+def pairwise_violations(vals):
+    """First (A, B) in row-major mask order breaking the supermodular
+    inequality, and first breaking the submodular one: the definitional
+    pairwise predicates on the dense 2^n x 2^n grid."""
+    v = np.array(vals, dtype=np.int64 if max(map(abs, vals)) < 1 << 61 else object)
+    a = np.arange(len(v))[:, None]
+    b = a.T
+    lhs = v[a] + v[b]
+    rhs = v[a & b] + v[a | b]
+    firsts = []
+    for hit in (lhs > rhs, lhs < rhs):
+        k = int(hit.argmax())
+        firsts.append(divmod(k, len(v)) if hit.flat[k] else None)
+    return tuple(firsts)
+
+
+def ground(n):
+    return GroundSet(tuple(f"e{i}" for i in range(n)))
 
 
 def cardinality_fn(ground):
@@ -91,8 +137,56 @@ class TestSetFunction:
         denom = 1
         for v in u.values:
             denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        assert u._scaled_ints == tuple(int(v * denom) for v in u.values)
-        assert all(type(x) is int for x in u._scaled_ints)
+        assert u._denom == denom
+        assert u._scaled_ints.tolist() == [int(v * denom) for v in u.values]
+        assert all(type(x) is int for x in u._scaled_ints.tolist())
+
+    @pytest.mark.parametrize("values", [
+        (np.float32(0.5), 1, 2, 3),
+        (0, 1, np.float16(2), 3),
+        np.array([0.0, 1.0, 2.0, 3.0]),
+        np.array([0, 1, 2, 3], dtype=np.float32),
+    ])
+    def test_numpy_floats_rejected(self, ab, values):
+        with pytest.raises(ValueError, match="floats are rejected"):
+            SetFunction(ab, values)
+
+    def test_numpy_float_factors_rejected(self, ab):
+        u = cardinality_fn(ab)
+        with pytest.raises(ValueError, match="floats are rejected"):
+            u.scale(np.float32(2))
+        with pytest.raises(ValueError, match="floats are rejected"):
+            perturb(u, np.float32(0.25))
+
+    def test_storage_is_int64_below_guard_else_python_ints(self, ab):
+        assert SetFunction(ab, (0, 1, 2, _INT64_GUARD - 1))._scaled_ints.dtype == np.int64
+        u = SetFunction(ab, (0, 1, 2, _INT64_GUARD))
+        assert u._scaled_ints.dtype == object
+        assert u.values[3] == _INT64_GUARD
+        assert SetFunction(ab, np.array([0, 1, 2, 3], dtype=np.uint64)).values == (0, 1, 2, 3)
+
+    def test_arithmetic_matches_fraction_loops(self):
+        rng = random.Random(17)
+        for u in seeded_corpus():
+            n = u.ground.n
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            eps = Fraction(rng.randint(1, 9), rng.randint(1, 9) << 40)
+            other = SetFunction(u.ground, [Fraction(rng.randint(-5, 5), 3) for _ in u.values])
+            assert u.scale(c).values == tuple(c * v for v in u.values)
+            assert (u + other).values == tuple(a + b for a, b in zip(u.values, other.values))
+            assert perturb(u, eps).values == tuple(
+                v - eps * m.bit_count() for m, v in enumerate(u.values))
+            monotone = all(
+                u.values[m] <= u.values[m | 1 << i]
+                for m in range(1 << n) for i in range(n) if not m >> i & 1)
+            assert u.is_monotone() == monotone
+            assert u.scale(0).values == (0,) * (1 << n)
+
+    def test_equal_values_equal_functions(self, ab):
+        u = SetFunction(ab, (Fraction(1, 2), 1, 2, 3))
+        v = SetFunction(ab, (Fraction(2, 4), Fraction(2, 2), 2, 3))
+        assert u == v and hash(u) == hash(v)
+        assert u != SetFunction(ab, (0, 1, 2, 3))
 
     def test_fractions_kept_as_given(self, ab):
         values = (Fraction(1, 2), Fraction(3), 2, Fraction(-1, 5))
@@ -155,6 +249,89 @@ class TestClassify:
         w = SetFunction(ab, (0, 1, 1, 3))
         cls = classify(w)
         assert cls.kind == "supermodular"
+
+
+def exchange_corpus():
+    """Every table with values in {-1, 0, 1} for n <= 3; seeded
+    supermodular, near-miss (one value moved by one) and random tables at
+    n = 7, 8 and 10; Fraction values; and values at and above 2^61 at
+    n = 7 and 8."""
+    for n in range(4):
+        for vals in product((-1, 0, 1), repeat=1 << n):
+            yield SetFunction(ground(n), vals)
+    yield from seeded_corpus()
+
+
+def seeded_corpus():
+    rng = random.Random(31)
+    for n in (7, 8, 10):
+        for _ in range(3):
+            sup = random_supermodular(ground(n), rng)
+            yield sup
+            vals = list(sup.values)
+            vals[rng.randrange(1 << n)] += rng.choice((-1, 1))
+            yield SetFunction(ground(n), vals)
+            yield SetFunction(ground(n), [rng.randint(-2, 2) for _ in range(1 << n)])
+            yield SetFunction(ground(n), [v + Fraction(rng.randint(-1, 1), 7) for v in sup.values])
+            if n < 10:  # object arithmetic: the dense oracle is slow at n = 10
+                yield sup.scale(Fraction(1 << 70, 3))
+                yield SetFunction(ground(n), [_INT64_GUARD + v for v in vals])
+
+
+class TestExchangeCriterion:
+    """``classify`` decides each side by the exchange test and sweeps only
+    a failing side, compared with the quantifier sweeps it replaced."""
+
+    def test_flags_and_witnesses_match_oracles(self, monkeypatch):
+        # every table takes the criterion path, not just those past 64 masks
+        monkeypatch.setattr(choicefn, "_FIRST_BLOCK_CELLS", 1)
+        checked = 0
+        big = 0
+        for u in exchange_corpus():
+            # exact integers over the common denominator order every sum
+            # as the values do, and keep the oracles fast at n = 10
+            vals = u._scaled_ints.tolist()
+            assert vals == [v * u._denom for v in u.values]
+            cls = classify(u)
+            got = tuple(w and (w[0].bits, w[1].bits) for w in (cls.not_supermodular, cls.not_submodular))
+            assert got == pairwise_violations(vals)
+            assert (cls.is_supermodular, cls.is_submodular) == local_exchange_flags(vals, u.ground.n)
+            checked += 1
+            big += u._scaled_ints.dtype == object
+        assert checked > 6600 and big == 12
+
+    def test_small_tables_decided_by_one_sweep_block(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(supermod, "_exchange_flags", lambda *a: calls.append(a))
+        for n in range(7):
+            u = random_supermodular(ground(n), random.Random(n))
+            assert classify(u).is_supermodular == local_exchange_flags(u.values, n)[0]
+        assert calls == []
+
+    def test_sweep_runs_only_for_the_failing_side(self, monkeypatch):
+        calls = []
+        sweep = supermod._first_violation
+
+        def recording(t, bad, start=0):
+            calls.append(bad)
+            return sweep(t, bad, start)
+
+        monkeypatch.setattr(supermod, "_first_violation", recording)
+        u = random_supermodular(ground(12), random.Random(12))
+        cls = classify(u)
+        assert cls.kind == "supermodular"
+        assert calls == [supermod._BREAKS[1]]
+        calls.clear()
+        assert classify(cardinality_fn(ground(12))).is_modular
+        assert calls == []
+
+    def test_criterion_witness_reverifies_at_n12(self):
+        u = random_supermodular(ground(12), random.Random(3))
+        vals = list(u.values)
+        vals[2345] += 1
+        cls = classify(SetFunction(u.ground, vals))
+        a, b = (s.bits for s in cls.not_supermodular)
+        assert vals[a] + vals[b] > vals[a & b] + vals[a | b]
 
 
 class TestElementary:
