@@ -118,12 +118,18 @@ class ChoiceFunction:
             raise ValueError(
                 f"table must cover all {self.ground.n_masks} menus, got {len(table)}"
             )
-        for menu, choice in enumerate(table):
-            if choice & ~menu:
-                raise ContractionError(
-                    f"choice {Subset(self.ground, choice & (self.ground.n_masks - 1))!r} "
-                    f"is not contained in menu {Subset(self.ground, menu)!r}"
-                )
+        menus, t = np.arange(len(table), dtype=np.int64), np.array(table)
+        if t.dtype.kind == "i":
+            t = self.__dict__["_np_table"] = t.astype(np.int64, copy=False)
+        else:  # entries beyond int64, or not integers: Python's & decides
+            menus, t = menus.astype(object), np.array(table, dtype=object)
+        bad = np.flatnonzero(t & ~menus)
+        if bad.size:
+            menu = int(bad[0])
+            raise ContractionError(
+                f"choice {Subset(self.ground, table[menu] & (self.ground.n_masks - 1))!r} "
+                f"is not contained in menu {Subset(self.ground, menu)!r}"
+            )
 
     @classmethod
     def build(cls, ground: GroundSet, rule: Callable[[int], int]) -> ChoiceFunction:

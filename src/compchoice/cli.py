@@ -225,7 +225,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
             "expect": normalized,
             "expect_ok": expect_ok,
         }
-        _emit(json.dumps(payload, ensure_ascii=False, indent=2))
+        _emit(documents._canonical_text(payload))
     else:
         _emit(f"input kind: {kind}")
         width = max(len(k) for k in flags)
@@ -429,7 +429,7 @@ def cmd_convert(args: argparse.Namespace, config: RunConfig) -> int:
                 _emit(f"  [ok] {c['name']}")
     else:
         if config.format == "json":
-            _emit(json.dumps({"document": doc, "stamp": stamp}, ensure_ascii=False, indent=2))
+            _emit(documents._canonical_text({"document": doc, "stamp": stamp}))
         else:
             for c in checks:
                 _emit(f"  [ok] {c['name']}")
@@ -628,7 +628,7 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> int:
     truncated = limit is not None and found >= limit
     if config.format == "json":
         _emit(
-            json.dumps(
+            documents._canonical_text(
                 {
                     "kind": "search_report",
                     "pattern": args.pattern,
@@ -636,9 +636,7 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> int:
                     "found": found,
                     "stopped_at_limit": truncated,
                     "matches": matches,
-                },
-                ensure_ascii=False,
-                indent=2,
+                }
             )
         )
     else:

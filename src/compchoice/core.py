@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -301,13 +301,15 @@ class Preorder:
 
     Bit j of ``ideal_masks[i]`` says that point j lies below point i; the
     mask is therefore the principal ideal of point i. Both reflexivity and
-    transitivity are checked at construction.
+    transitivity are checked at construction, except that ``from_pairs``
+    skips the transitivity check on the relation it has just closed.
     """
 
     carrier: tuple[str, ...]
     ideal_masks: tuple[int, ...]
+    _closed: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _closed: bool) -> None:
         carrier = tuple(self.carrier)
         masks = tuple(self.ideal_masks)
         object.__setattr__(self, "carrier", carrier)
@@ -323,6 +325,8 @@ class Preorder:
                 raise ValueError(f"ideal mask for {carrier[i]!r} out of range")
             if not m >> i & 1:
                 raise ValueError(f"relation is not reflexive at {carrier[i]!r}")
+        if _closed:
+            return
         for i in range(n):
             probe = masks[i]
             while probe:
@@ -356,10 +360,9 @@ class Preorder:
                 raise ValueError(f"pair ({y!r}, {x!r}) mentions unknown points")
             masks[index[x]] |= 1 << index[y]
         if close:
-            masks = _close_reflexive_transitive(len(carrier), masks)
-        else:  # construction rejects pairs that are not transitively closed
-            masks = [m | 1 << i for i, m in enumerate(masks)]
-        return cls(carrier, tuple(masks))
+            return cls(carrier, tuple(_close_reflexive_transitive(len(carrier), masks)), True)
+        # construction rejects pairs that are not transitively closed
+        return cls(carrier, tuple(m | 1 << i for i, m in enumerate(masks)))
 
     @property
     def n(self) -> int:

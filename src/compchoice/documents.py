@@ -3,15 +3,22 @@
 Subsets are serialized as alphabetically sorted name arrays, never raw
 masks, so files are independent of ground-set order. Dumps are canonical
 (fixed key order, sorted subset arrays, deterministic pair order); loading
-a canonical dump and dumping again reproduces it byte for byte.
+a canonical dump and dumping again reproduces it byte for byte. The text is
+what ``json.dumps(doc, ensure_ascii=False, indent=2)`` writes, produced by
+``_canonical_text``.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from functools import cached_property
+from json.encoder import encode_basestring
+from typing import Any, Callable
+
+import numpy as np
 
 from .choicefn import ChoiceFunction
 from .core import FiniteLattice, GroundSet, Preorder, SetFamily, Subset, ensure_tractable
@@ -76,6 +83,49 @@ def _subset_key(s: Subset) -> list[str]:
     return s.sorted_names()
 
 
+class _SubsetCodec:
+    """Every subset of one ground set in its document form, for the tables
+    that list all 2^n of them.
+
+    ``names[m]`` is the alphabetically sorted name tuple of mask m,
+    ``order`` lists the masks sorted by those tuples (the canonical entry
+    order), and ``mask_of`` reads a name array back. Ranks are the
+    positions of the names in alphabetical order; in rank space the lowest
+    bit is the first name, so each tuple extends the one of a smaller mask.
+    """
+
+    def __init__(self, ground: GroundSet) -> None:
+        alphabetical = sorted(ground.elements)
+        by_rank: list[tuple[str, ...]] = [()] * ground.n_masks
+        for r in range(1, ground.n_masks):
+            by_rank[r] = (alphabetical[(r & -r).bit_length() - 1],) + by_rank[r & (r - 1)]
+        rank = np.zeros(ground.n_masks, dtype=np.int64)  # mask -> rank mask
+        for i, name in enumerate(ground.elements):
+            rank.reshape(-1, 2, 1 << i)[:, 1] += 1 << alphabetical.index(name)
+        self.ground = ground
+        self.names = [by_rank[r] for r in rank.tolist()]
+        # Rank masks over the top ranks j.. in tuple order: the empty set,
+        # then those holding rank j (it sorts first), then the rest.
+        lex = np.zeros(1, dtype=np.int64)
+        for j in reversed(range(ground.n)):
+            lex = np.concatenate((lex[:1], lex | 1 << j, lex[1:]))
+        self.order = np.argsort(rank)[lex].tolist()
+
+    @cached_property
+    def _masks(self) -> dict[tuple[str, ...], int]:
+        return dict(zip(self.names, range(len(self.names))))
+
+    def mask_of(self, val: Any, where: str) -> int:
+        """The mask of a name array: a canonical one by lookup, any other
+        through ``_load_subset``, which accepts or refuses it as before."""
+        if type(val) is list:
+            try:
+                return self._masks[tuple(val)]
+            except (KeyError, TypeError):  # not canonical, or unhashable entries
+                pass
+        return _load_subset(self.ground, val, where).bits
+
+
 def load_rational(val: Any, where: str) -> Fraction:
     """An exact rational from a JSON value or a command-line string; a
     decimal exponent of five or more digits is refused before ``Fraction``
@@ -96,6 +146,19 @@ def load_rational(val: Any, where: str) -> Fraction:
 
 def _dump_rational(v: Fraction) -> str:
     return str(v)
+
+
+_INT_TEXT = re.compile(r"-?[0-9]{1,18}")
+
+
+def _load_value(val: Any, where: str) -> int | Fraction:
+    """``load_rational``, except that an integer, or a string of a short
+    one, stays a Python int."""
+    if type(val) is int:
+        return val
+    if type(val) is str and _INT_TEXT.fullmatch(val):
+        return int(val)
+    return load_rational(val, where)
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +182,12 @@ def family_from_doc(doc: Mapping) -> SetFamily:
 
 
 def cf_to_doc(f: ChoiceFunction) -> dict:
-    entries = []
-    for m in range(f.ground.n_masks):
-        menu = Subset(f.ground, m)
-        choice = Subset(f.ground, f.table[m])
-        entries.append({"menu": _subset_key(menu), "choice": _subset_key(choice)})
-    entries.sort(key=lambda e: e["menu"])
+    codec, t = _SubsetCodec(f.ground), f.table
+    names = codec.names
     return {
         "kind": "choice_function",
         "ground": list(f.ground.elements),
-        "table": entries,
+        "table": [{"menu": list(names[m]), "choice": list(names[t[m]])} for m in codec.order],
     }
 
 
@@ -136,19 +195,23 @@ def cf_from_doc(doc: Mapping) -> ChoiceFunction:
     ground = _load_ground(doc)
     ensure_tractable(ground.n, what="choice table")
     entries = _expect_list(doc, "table")
+    codec = _SubsetCodec(ground)
     table: list[int | None] = [None] * ground.n_masks
     for i, entry in enumerate(entries):
         if not isinstance(entry, Mapping):
             _fail(f"table[{i}] must be an object with 'menu' and 'choice'")
         if "menu" not in entry or "choice" not in entry:
             _fail(f"table[{i}] must carry both 'menu' and 'choice'")
-        menu = _load_subset(ground, entry["menu"], f"table[{i}].menu")
-        choice = _load_subset(ground, entry["choice"], f"table[{i}].choice")
-        if table[menu.bits] is not None:
-            _fail(f"table[{i}]: duplicate menu {menu!r}")
-        if choice.bits & ~menu.bits:
-            _fail(f"table[{i}]: choice {choice!r} is not contained in menu {menu!r}")
-        table[menu.bits] = choice.bits
+        menu = codec.mask_of(entry["menu"], f"table[{i}].menu")
+        choice = codec.mask_of(entry["choice"], f"table[{i}].choice")
+        if table[menu] is not None:
+            _fail(f"table[{i}]: duplicate menu {Subset(ground, menu)!r}")
+        if choice & ~menu:
+            _fail(
+                f"table[{i}]: choice {Subset(ground, choice)!r} is not contained "
+                f"in menu {Subset(ground, menu)!r}"
+            )
+        table[menu] = choice
     missing = [m for m, c in enumerate(table) if c is None]
     if missing:
         _fail(
@@ -201,19 +264,15 @@ def lattice_from_doc(doc: Mapping) -> FiniteLattice:
 
 
 def setfn_to_doc(u: SetFunction) -> dict:
-    entries = []
-    for m in range(u.ground.n_masks):
-        entries.append(
-            {
-                "subset": _subset_key(Subset(u.ground, m)),
-                "value": _dump_rational(u.values[m]),
-            }
-        )
-    entries.sort(key=lambda e: e["subset"])
+    codec = _SubsetCodec(u.ground)
+    names = codec.names
+    values = u._scaled_ints.tolist() if u._denom == 1 else u.values
     return {
         "kind": "set_function",
         "ground": list(u.ground.elements),
-        "values": entries,
+        "values": [
+            {"subset": list(names[m]), "value": _dump_rational(values[m])} for m in codec.order
+        ],
     }
 
 
@@ -221,18 +280,19 @@ def setfn_from_doc(doc: Mapping) -> SetFunction:
     ground = _load_ground(doc)
     ensure_tractable(ground.n, what="set-function table")
     entries = _expect_list(doc, "values")
-    values: list[Fraction | None] = [None] * ground.n_masks
+    codec = _SubsetCodec(ground)
+    values: list[int | Fraction | None] = [None] * ground.n_masks
     for i, entry in enumerate(entries):
         if not isinstance(entry, Mapping) or "subset" not in entry or "value" not in entry:
             _fail(f"values[{i}] must be an object with 'subset' and 'value'")
-        s = _load_subset(ground, entry["subset"], f"values[{i}].subset")
-        if values[s.bits] is not None:
-            _fail(f"values[{i}]: duplicate subset {s!r}")
-        values[s.bits] = load_rational(entry["value"], f"values[{i}].value")
+        s = codec.mask_of(entry["subset"], f"values[{i}].subset")
+        if values[s] is not None:
+            _fail(f"values[{i}]: duplicate subset {Subset(ground, s)!r}")
+        values[s] = _load_value(entry["value"], f"values[{i}].value")
     # the empty set may be omitted and defaults to zero; everything else is
     # mandatory
     if values[0] is None:
-        values[0] = Fraction(0)
+        values[0] = 0
     missing = [m for m, v in enumerate(values) if v is None]
     if missing:
         _fail(
@@ -469,10 +529,54 @@ def from_document(doc: Any, **kwargs) -> Any:
     return _FROM_DOC[kind](doc, **kwargs)
 
 
+def _canonical_text(doc: Any) -> str:
+    """The text ``json.dumps(doc, ensure_ascii=False, indent=2)`` writes,
+    built without the encoder's pure-Python indenting path; object keys
+    must be strings, as in every document."""
+    out: list[str] = []
+    _write(doc, "\n", out.append)
+    return "".join(out)
+
+
+def _write(o: Any, nl: str, out: Callable[[str], None]) -> None:
+    if isinstance(o, str):
+        out(encode_basestring(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        try:  # a name array is written in one step
+            out("[" + inner + sep.join(map(encode_basestring, o)) + nl + "]")
+            return
+        except TypeError:  # some entry is not a string
+            pass
+        lead = "[" + inner
+        for v in o:
+            out(lead)
+            _write(v, inner, out)
+            lead = sep
+        out(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out("{}")
+            return
+        inner = nl + "  "
+        lead = "{" + inner
+        for k, v in o.items():
+            out(lead + encode_basestring(k) + ": ")
+            _write(v, inner, out)
+            lead = "," + inner
+        out(nl + "}")
+    else:
+        out(json.dumps(o))
+
+
 def dumps(obj: Any) -> str:
     """Canonical text form of an object or an already-built document dict."""
     doc = obj if isinstance(obj, dict) else to_document(obj)
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    return _canonical_text(doc) + "\n"
 
 
 def loads(text: str, **kwargs) -> Any:

@@ -42,8 +42,8 @@ def _require_complementary(f: ChoiceFunction, op: str) -> None:
 def open_sets(f: ChoiceFunction) -> SetFamily:
     """All menus chosen in full. Contains the empty set for any f; for
     monotone f the family is closed under unions."""
-    masks = frozenset(m for m, c in enumerate(f.table) if c == m)
-    return SetFamily(f.ground, masks)
+    t = f._np_table
+    return SetFamily(f.ground, frozenset(np.flatnonzero(t == np.arange(len(t))).tolist()))
 
 
 def image_family(f: ChoiceFunction) -> SetFamily:

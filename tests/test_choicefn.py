@@ -8,6 +8,7 @@ from compchoice import (
     ChoiceFunction,
     GroundSet,
     Preorder,
+    Subset,
     analyze,
     classify,
     cofinite,
@@ -105,6 +106,40 @@ class TestChoiceFunction:
     def test_contraction_enforced(self, ab):
         with pytest.raises(ContractionError):
             ChoiceFunction(ab, (0, 2, 0, 0))
+
+    def test_contraction_names_first_offending_menu(self, abc):
+        # the deleted per-menu loop, kept as the oracle for the array check
+        def first_offence(table):
+            for menu, choice in enumerate(table):
+                if choice & ~menu:
+                    return (
+                        f"choice {Subset(abc, choice & 7)!r} "
+                        f"is not contained in menu {Subset(abc, menu)!r}"
+                    )
+            return None
+
+        rng = random.Random(4)
+        tables = [
+            tuple(rng.randrange(8) & (m if rng.random() < 0.9 else 7) for m in range(8))
+            for _ in range(300)
+        ]
+        tables += [
+            (0, 1, 2, 3, 4, 5, 6, 2**70),
+            (0, -1, 2, 3, 4, 5, 6, 7),
+            (0, 1, 2, 2**63, 4, 5, 6, 7),
+            (0, True, 2, 3, 4, 5, 6, 7),
+        ]
+        for table in tables:
+            expected = first_offence(table)
+            if expected is None:
+                f = ChoiceFunction(abc, table)
+                assert f.table == table and f._np_table.tolist() == list(table)
+            else:
+                with pytest.raises(ContractionError) as exc:
+                    ChoiceFunction(abc, table)
+                assert str(exc.value) == expected
+        with pytest.raises(TypeError):
+            ChoiceFunction(abc, (0, 1.5, 2, 3, 4, 5, 6, 7))
 
     def test_table_length_checked(self, ab):
         with pytest.raises(ValueError):

@@ -166,8 +166,21 @@ class TestPreorder:
     def test_direct_construction_validates(self):
         with pytest.raises(ValueError):
             Preorder(("a", "b"), (0b01, 0b01))  # not reflexive at b
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not transitive"):
             Preorder(("a", "b", "c"), (0b001, 0b011, 0b110))  # a<=b<=c but not a<=c
+
+    def test_closed_relations_pass_the_skipped_check(self):
+        # from_pairs skips the transitivity check after closing; rebuilding
+        # directly runs it, and it must pass
+        rng = random.Random(11)
+        for n in (0, 1, 4, 9, 30):
+            carrier = tuple(f"p{i}" for i in range(n))
+            for density in (0.05, 0.2, 0.5):
+                pairs = [(y, x) for y in carrier for x in carrier if rng.random() < density]
+                p = Preorder.from_pairs(carrier, pairs)
+                assert Preorder(p.carrier, p.ideal_masks) == p
+        with pytest.raises(ValueError, match="distinct"):
+            Preorder.from_pairs(("a", "a"), [])
 
     def test_principal_ideal_examples(self):
         p = Preorder.from_pairs(("a", "b", "c"), [("a", "b")])

@@ -1,10 +1,20 @@
+import contextlib
+import copy
+import io
+import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from compchoice import (
+    ChoiceFunction,
+    GroundSet,
     Preorder,
     SetFamily,
+    Subset,
     economical_lift,
     full_lift,
     identity_cf,
@@ -12,6 +22,7 @@ from compchoice import (
     packaged,
 )
 from compchoice import documents
+from compchoice.cli import main
 from compchoice.errors import DocumentError, LiftVerificationError
 from compchoice.fixtures import (
     get_fixture,
@@ -21,6 +32,8 @@ from compchoice.fixtures import (
 )
 from compchoice.latticecf import cf_from_fix, divisor_lattice, synthesize
 from compchoice.pretop import neighborhood_system_of
+from compchoice.supermod import SetFunction
+from compchoice.supermod import synthesize as synthesize_setfn
 
 
 def roundtrip_bytes(obj):
@@ -153,10 +166,7 @@ class TestLoaderErrors:
             documents.from_document(doc)
 
     def test_kind_of_names_the_document_kind(self):
-        objs = [get_fixture(name) for name, _ in list_fixtures()]
-        cf = get_fixture("overlapping-pairs-cf")
-        lattice_cf = get_fixture("divisors-12-lattice-cf")
-        objs += [economical_lift(cf), neighborhood_system_of(cf), synthesize(lattice_cf)]
+        objs = _every_kind_object()
         kinds = {documents.to_document(obj)["kind"] for obj in objs}
         assert kinds == set(documents.KINDS)
         for obj in objs:
@@ -238,8 +248,18 @@ class TestPreorderFlag:
             "carrier": ["a", "b", "c"],
             "pairs": [["a", "b"], ["b", "c"]],
         }
-        with pytest.raises(DocumentError):
+        with pytest.raises(DocumentError, match="not transitive") as exc:
             documents.preorder_from_doc(doc, require_closed=True)
+        assert "\n" not in str(exc.value)
+
+    def test_repeated_carrier_point_exits_two(self, tmp_path, capsys):
+        # the closed path still checks the carrier
+        path = tmp_path / "p.json"
+        doc = {"kind": "preorder", "carrier": ["a", "b", "a"], "pairs": [["a", "b"]]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and "distinct" in out
 
 
 class TestLatticeDoc:
@@ -318,3 +338,234 @@ class TestFixtures:
     def test_unknown_fixture(self):
         with pytest.raises(ValueError):
             get_fixture("nope")
+
+
+def _every_kind_object():
+    """Every fixture, plus objects of the kinds no fixture has."""
+    cf = get_fixture("overlapping-pairs-cf")
+    lattice_cf = get_fixture("divisors-12-lattice-cf")
+    objs = [get_fixture(name) for name, _ in list_fixtures()]
+    return objs + [full_lift(cf), economical_lift(cf), neighborhood_system_of(cf), synthesize(lattice_cf)]
+
+
+def _indented(doc):
+    return json.dumps(doc, ensure_ascii=False, indent=2)
+
+
+NASTY_NAMES = ['"', "\\", "a\"b\\c", "\x00", "\x1f\n\t", "\x7f", " ", "é", "名前", "\ud800", "😀"]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**63))
+    | st.floats()
+    | st.text(max_size=5)
+    | st.sampled_from(NASTY_NAMES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.text(max_size=3) | st.sampled_from(NASTY_NAMES), max_size=4)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(NASTY_NAMES), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestCanonicalText:
+    """The writer must emit exactly what the stdlib encoder writes with
+    indent=2, so that documents stay byte-identical."""
+
+    def test_every_document_kind(self):
+        docs = [documents.to_document(obj) for obj in _every_kind_object()]
+        assert {d["kind"] for d in docs} == set(documents.KINDS)
+        for doc in docs:
+            assert documents._canonical_text(doc) == _indented(doc)
+            assert documents.dumps(doc) == _indented(doc) + "\n"
+
+    def test_non_alphabetical_ground_and_odd_names(self):
+        ground = GroundSet(("x10", "x2", "é", 'q"', "b\\s", "x1"))
+        rng = random.Random(3)
+        base = SetFamily.of(ground, [rng.sample(ground.elements, 3) for _ in range(5)])
+        f = interior_cf(base)
+        u = synthesize_setfn(f)
+        frac = SetFunction(ground, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(64)])
+        big = SetFunction(ground, [rng.randint(-(2**70), 2**70) for _ in range(64)])
+        for obj in (f, u, frac, big, neighborhood_system_of(f)):
+            doc = documents.to_document(obj)
+            assert documents._canonical_text(doc) == _indented(doc)
+
+    @pytest.mark.parametrize("output", [False, True])
+    def test_convert_envelopes(self, tmp_path, output):
+        src = tmp_path / "cf.json"
+        src.write_text(documents.dumps(get_fixture("overlapping-pairs-cf")), encoding="utf-8")
+        for target in ("setfn", "family", "neighborhoods", "lift"):
+            argv = ["convert", str(src), "--to", target, "--format", "json"]
+            out_path = tmp_path / f"{target}.json"
+            if output:
+                argv += ["-o", str(out_path)]
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0
+            text = out_path.read_text(encoding="utf-8") if output else buf.getvalue()
+            assert text == _indented(json.loads(text)) + "\n"
+
+    def test_verify_report(self, tmp_path):
+        src = tmp_path / "cf.json"
+        src.write_text(documents.dumps(get_fixture("submodular-counterexample-cf")), encoding="utf-8")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main(["verify", str(src), "--format", "json"])
+        assert buf.getvalue() == _indented(json.loads(buf.getvalue())) + "\n"
+
+    @given(json_values)
+    def test_any_json_value(self, value):
+        assert documents._canonical_text(value) == _indented(value)
+
+    def test_tuples_are_written_as_arrays(self):
+        value = {"a": ("x", "y"), "b": (1, ("z",), ()), "c": ()}
+        assert documents._canonical_text(value) == _indented(value)
+
+
+def _slow_cf_from_doc(doc):
+    """The loader with every name array read through ``_load_subset``."""
+    ground = documents._load_ground(doc)
+    table = [None] * ground.n_masks
+    for i, entry in enumerate(doc["table"]):
+        menu = documents._load_subset(ground, entry["menu"], f"table[{i}].menu")
+        choice = documents._load_subset(ground, entry["choice"], f"table[{i}].choice")
+        if table[menu.bits] is not None:
+            documents._fail(f"table[{i}]: duplicate menu {menu!r}")
+        if choice.bits & ~menu.bits:
+            documents._fail(f"table[{i}]: choice {choice!r} is not contained in menu {menu!r}")
+        table[menu.bits] = choice.bits
+    return ChoiceFunction(ground, tuple(table))
+
+
+def _slow_setfn_from_doc(doc):
+    ground = documents._load_ground(doc)
+    values = [None] * ground.n_masks
+    for i, entry in enumerate(doc["values"]):
+        s = documents._load_subset(ground, entry["subset"], f"values[{i}].subset")
+        if values[s.bits] is not None:
+            documents._fail(f"values[{i}]: duplicate subset {s!r}")
+        values[s.bits] = documents.load_rational(entry["value"], f"values[{i}].value")
+    return SetFunction(ground, values)
+
+
+# edits of one name array: each result is not canonical, so the loader reads
+# it through ``_load_subset``
+ARRAY_EDITS = {
+    "unsorted": lambda names: names[::-1],
+    "repeated name": lambda names: names + names[:1],
+    "unknown name": lambda names: names + ["zz"],
+    "non-string entry": lambda names: names + [7],
+    "nested array": lambda names: names + [["a"]],
+    "not a list": lambda names: "".join(names),
+    "tuple": lambda names: tuple(names),
+}
+
+
+def _outcome(load, doc):
+    try:
+        obj = load(doc)
+    except DocumentError as exc:
+        return "error", str(exc)
+    return "ok", obj
+
+
+class TestCodecLoader:
+    """Every non-canonical name array reaches the same object or the same
+    message as reading each array through ``_load_subset``."""
+
+    def _cases(self, kind_key, array_key, doc):
+        for i, entry in enumerate(doc[kind_key]):
+            if len(entry[array_key]) < 2 and i % 3:
+                continue
+            for edit_name, edit in ARRAY_EDITS.items():
+                edited = copy.deepcopy(doc)
+                edited[kind_key][i][array_key] = edit(list(entry[array_key]))
+                yield f"{kind_key}[{i}].{array_key} {edit_name}", edited
+
+    def test_choice_tables(self):
+        doc = documents.to_document(get_fixture("overlapping-pairs-cf"))
+        seen = set()
+        for key in ("menu", "choice"):
+            for label, edited in self._cases("table", key, doc):
+                fast = _outcome(documents.cf_from_doc, edited)
+                slow = _outcome(_slow_cf_from_doc, edited)
+                assert fast[0] == slow[0], label
+                if fast[0] == "ok":
+                    assert fast[1].table == slow[1].table, label
+                else:
+                    assert fast[1] == slow[1] and "\n" not in fast[1], label
+                seen.add(fast[0])
+        assert seen == {"ok", "error"}
+
+    def test_set_functions(self):
+        doc = documents.to_document(get_fixture("submodular-counterexample"))
+        seen = set()
+        for label, edited in self._cases("values", "subset", doc):
+            fast = _outcome(documents.setfn_from_doc, edited)
+            slow = _outcome(_slow_setfn_from_doc, edited)
+            assert fast[0] == slow[0], label
+            if fast[0] == "ok":
+                assert fast[1] == slow[1] and fast[1].values == slow[1].values, label
+            else:
+                assert fast[1] == slow[1] and "\n" not in fast[1], label
+            seen.add(fast[0])
+        assert seen == {"ok", "error"}
+
+    def test_shuffled_table_and_reordered_ground(self):
+        f = get_fixture("overlapping-pairs-cf")
+        doc = documents.to_document(f)
+        random.Random(1).shuffle(doc["table"])
+        doc["ground"] = doc["ground"][::-1]
+        assert documents.cf_from_doc(doc).table == _slow_cf_from_doc(doc).table
+
+    @pytest.mark.parametrize(
+        "value", [3, -4, 2**80, "12", "-0", "007", "1/3", " 5", "5.0", "1_0", "9" * 30, "9" * 5000, "٣", True]
+    )
+    def test_values_match_load_rational(self, value):
+        doc = documents.to_document(get_fixture("submodular-counterexample"))
+        doc["values"][5]["value"] = value
+        fast = _outcome(documents.setfn_from_doc, doc)
+        slow = _outcome(_slow_setfn_from_doc, doc)
+        assert fast[0] == slow[0]
+        if fast[0] == "ok":
+            assert fast[1] == slow[1] and fast[1].values == slow[1].values
+        else:
+            assert fast[1] == slow[1]
+
+    def test_integer_values_skip_fractions(self):
+        u = documents.loads(documents.dumps(get_fixture("submodular-counterexample")))
+        assert "values" not in u.__dict__  # built from Python ints
+        assert u._denom == 1
+
+    def test_tables_match_per_row_writer(self):
+        # the deleted per-row writers, kept as the oracle for the codec
+        def cf_rows(f):
+            rows = [{"menu": Subset(f.ground, m).sorted_names(),
+                     "choice": Subset(f.ground, c).sorted_names()} for m, c in enumerate(f.table)]
+            return sorted(rows, key=lambda e: e["menu"])
+
+        def setfn_rows(u):
+            rows = [{"subset": Subset(u.ground, m).sorted_names(), "value": str(v)}
+                    for m, v in enumerate(u.values)]
+            return sorted(rows, key=lambda e: e["subset"])
+
+        rng = random.Random(2)
+        for names in (("a", "b", "c"), ("x10", "x2", "é", "B", "b", "x1", "x0")):
+            ground = GroundSet(names)
+            f = interior_cf(SetFamily.of(ground, [rng.sample(names, 2) for _ in range(4)]))
+            assert documents.cf_to_doc(f)["table"] == cf_rows(f)
+            m = ground.n_masks
+            for u in (synthesize_setfn(f),
+                      SetFunction(ground, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m)]),
+                      SetFunction(ground, [rng.randint(-(2**70), 2**70) for _ in range(m)])):
+                assert documents.setfn_to_doc(u)["values"] == setfn_rows(u)
+
+    def test_codec_matches_subsets(self):
+        ground = GroundSet(("x10", "x2", "b", "a", "x1"))
+        codec = documents._SubsetCodec(ground)
+        assert codec.names == [tuple(Subset(ground, m).sorted_names()) for m in range(32)]
+        assert codec.order == sorted(range(32), key=lambda m: Subset(ground, m).sorted_names())
+        assert documents._SubsetCodec(GroundSet(())).order == [0]

@@ -77,6 +77,16 @@ class TestOpenSets:
         f = packaged(abc.subset(["a", "b"]))
         assert open_sets(f).masks == fam(abc, (), ("a", "b")).masks
 
+    def test_matches_fixed_menu_scan(self, abc):
+        # the deleted generator, kept as the oracle for the array comparison
+        rng = random.Random(8)
+        tables = list(iter_contracting_tables(abc))
+        tables += [random_complementary_cf(GroundSet(tuple(f"x{i}" for i in range(8))), rng)
+                   for _ in range(5)]
+        for f in tables:
+            expected = SetFamily(f.ground, frozenset(m for m, c in enumerate(f.table) if c == m))
+            assert open_sets(f) == expected
+
     def test_identity_full_powerset(self, abc):
         assert len(open_sets(identity_cf(abc))) == 8
 
