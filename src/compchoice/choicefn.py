@@ -98,44 +98,39 @@ class AxiomReport:
         return {a: w for a in AXIOMS if (w := self.witness(a)) is not None}
 
 
-@dataclass(frozen=True)
 class ChoiceFunction:
     """A contracting self-map of the powerset, stored as a full table.
 
-    ``table[mask]`` is the mask of the set chosen from the menu ``mask``.
+    The one stored table is ``_np_table``, a read-only int64 array whose
+    entry ``mask`` is the mask of the set chosen from the menu ``mask``;
+    ``table`` reads it as a tuple of ints, built when first read.
     Contraction (choice within the menu) is enforced at construction, which
     forces choosing nothing from the empty menu.
     """
 
-    ground: GroundSet
-    table: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        table = tuple(self.table)
-        object.__setattr__(self, "table", table)
-        ensure_tractable(self.ground.n, what="choice table")
-        if len(table) != self.ground.n_masks:
-            raise ValueError(
-                f"table must cover all {self.ground.n_masks} menus, got {len(table)}"
-            )
-        menus, t = np.arange(len(table), dtype=np.int64), np.array(table)
-        if t.dtype.kind == "i":
-            t = self.__dict__["_np_table"] = t.astype(np.int64, copy=False)
-        else:  # entries beyond int64, or not integers: Python's & decides
+    def __init__(self, ground: GroundSet, table: Sequence[int] | np.ndarray) -> None:
+        ensure_tractable(ground.n, what="choice table")
+        t = np.array(table)  # a copy: no caller's array is kept
+        if len(t) != ground.n_masks:
+            raise ValueError(f"table must cover all {ground.n_masks} menus, got {len(t)}")
+        menus = np.arange(len(t), dtype=np.int64)
+        if t.dtype.kind != "i":  # entries beyond int64, or not integers: Python's & decides
             menus, t = menus.astype(object), np.array(table, dtype=object)
         bad = np.flatnonzero(t & ~menus)
         if bad.size:
             menu = int(bad[0])
             raise ContractionError(
-                f"choice {Subset(self.ground, table[menu] & (self.ground.n_masks - 1))!r} "
-                f"is not contained in menu {Subset(self.ground, menu)!r}"
+                f"choice {Subset(ground, int(t[menu]) & (ground.n_masks - 1))!r} "
+                f"is not contained in menu {Subset(ground, menu)!r}"
             )
+        self.ground, self._np_table = ground, t.astype(np.int64, copy=False)
+        self._np_table.flags.writeable = False
 
     @classmethod
     def build(cls, ground: GroundSet, rule: Callable[[int], int]) -> ChoiceFunction:
         """Tabulate ``rule`` (mask to mask) over every menu."""
         ensure_tractable(ground.n, what="choice table")
-        return cls(ground, tuple(rule(m) for m in range(ground.n_masks)))
+        return cls(ground, [rule(m) for m in range(ground.n_masks)])
 
     @classmethod
     def from_choices(
@@ -152,24 +147,33 @@ class ChoiceFunction:
             table[menu.bits] = ground.subset(choice_names).bits
         if len(seen) != ground.n_masks:
             raise ValueError("every menu must be assigned a choice")
-        return cls(ground, tuple(table))
+        return cls(ground, table)
+
+    @cached_property
+    def table(self) -> tuple[int, ...]:
+        return tuple(self._np_table.tolist())
 
     def choice_mask(self, mask: int) -> int:
-        return self.table[mask]
+        return int(self._np_table[mask])
 
     def apply(self, menu: Subset) -> Subset:
         if menu.ground != self.ground:
             raise GroundSetMismatchError("menu over a different ground set")
-        return Subset(self.ground, self.table[menu.bits])
+        return Subset(self.ground, self.choice_mask(menu.bits))
 
     __call__ = apply
 
     def menus(self) -> Iterator[Subset]:
         return self.ground.all_subsets()
 
-    @cached_property
-    def _np_table(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=np.int64)
+    def _key(self) -> tuple:
+        return self.ground, self._np_table.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ChoiceFunction) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @cached_property
     def _newly_chosen(self) -> np.ndarray:
@@ -253,14 +257,14 @@ def _zeta(t: np.ndarray, op: np.ufunc) -> np.ndarray:
 def _submask_reduce(
     n: int, masks: Sequence[int], values: Sequence[int] | int, op: np.ufunc,
     what: str = "choice table",
-) -> list[int]:
+) -> np.ndarray:
     """Entry m is ``op`` reduced over the int64 values seeded at the
     submasks of m, 0 where there are none. Seeds at one mask combine with
     ``op`` too."""
     ensure_tractable(n, what=what)
     t = np.zeros(1 << n, dtype=np.int64)
     op.at(t, np.asarray(masks, dtype=np.int64), np.asarray(values, dtype=np.int64))
-    return _zeta(t, op).tolist()
+    return _zeta(t, op)
 
 
 def _superset_reduce(t: np.ndarray, op: np.ufunc) -> np.ndarray:
@@ -567,12 +571,7 @@ def union(fs: Sequence[ChoiceFunction]) -> ChoiceFunction:
     for f in fs[1:]:
         if f.ground != ground:
             raise GroundSetMismatchError("union across different ground sets")
-    n_masks = ground.n_masks
-    table = [0] * n_masks
-    for f in fs:
-        for m in range(n_masks):
-            table[m] |= f.table[m]
-    return ChoiceFunction(ground, tuple(table))
+    return ChoiceFunction(ground, np.bitwise_or.reduce([f._np_table for f in fs]))
 
 
 def consistency_matches_idempotence(f: ChoiceFunction) -> bool:

@@ -249,7 +249,7 @@ def _check(name: str, ok: bool) -> dict[str, Any]:
 
 def _route_cf_to_family(f: ChoiceFunction, config: RunConfig) -> tuple[Any, list[dict]]:
     fam = decompose(f)
-    checks = [_check("interior of the open sets reproduces the input", interior_cf(fam).table == f.table)]
+    checks = [_check("interior of the open sets reproduces the input", interior_cf(fam) == f)]
     return fam, checks
 
 
@@ -268,14 +268,14 @@ def _route_cf_to_setfn(f: ChoiceFunction, config: RunConfig, do_perturb: bool = 
     u = synthesize(f)
     checks = [
         _check("synthesized function is supermodular", classify(u).is_supermodular),
-        _check("induced choice reproduces the input", induce_cf(u).table == f.table),
+        _check("induced choice reproduces the input", induce_cf(u) == f),
     ]
     if do_perturb:
         eps = config.epsilon if config.epsilon is not None else default_epsilon(f.ground)
         u = perturb(u, eps)
         # the maximizers of a menu are all f(m) exactly when both their
         # intersection and their union are
-        vals, table = u._scaled_ints, np.array(f.table)
+        vals, table = u._scaled_ints, f._np_table
         singleton = all(
             np.array_equal(_subset_max(vals, op)[1], table)
             for op in (np.bitwise_and, np.bitwise_or)
@@ -291,7 +291,7 @@ def _route_setfn_to_cf(u: SetFunction, config: RunConfig) -> tuple[Any, list[dic
     # and dropping any of its elements from the menu lowers the maximum
     vals = u._scaled_ints
     best = _subset_max(vals)[0]
-    table = np.array(f.table)
+    table = f._np_table
     menus = np.arange(len(table))
     ok = bool((vals[table] == best).all())
     for i in range(u.ground.n):
@@ -304,7 +304,7 @@ def _route_setfn_to_cf(u: SetFunction, config: RunConfig) -> tuple[Any, list[dic
 
 def _route_cf_to_preorder(f: ChoiceFunction, config: RunConfig) -> tuple[Any, list[dict]]:
     p = preorder_from_cf(f)
-    checks = [_check("largest-ideal chooser reproduces the input", ideal_cf(p).table == f.table)]
+    checks = [_check("largest-ideal chooser reproduces the input", ideal_cf(p) == f)]
     return p, checks
 
 
@@ -322,7 +322,7 @@ def _route_preorder_to_cf(p: Preorder, config: RunConfig) -> tuple[Any, list[dic
 def _route_cf_to_lift(kind: str) -> Callable:
     def route(f: ChoiceFunction, config: RunConfig) -> tuple[Any, list[dict]]:
         lift = full_lift(f) if kind == "full" else economical_lift(f)
-        checks = [_check("direct image reproduces the input", ideal_image(lift.phi, lift.order).table == f.table)]
+        checks = [_check("direct image reproduces the input", ideal_image(lift.phi, lift.order) == f)]
         return lift, checks
 
     return route
@@ -333,7 +333,7 @@ def _route_cf_to_neighborhoods(f: ChoiceFunction, config: RunConfig) -> tuple[An
     checks = [
         _check(
             "choice rebuilt from the system reproduces the input",
-            cf_from_neighborhood_system(system).table == f.table,
+            cf_from_neighborhood_system(system) == f,
         )
     ]
     return system, checks

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     GroundSetMismatchError,
@@ -422,29 +424,36 @@ def principal_ideal(p: Preorder, x: str) -> Subset:
     return Subset(p.ground, p.ideal_masks[p._index[x]])
 
 
-@dataclass(frozen=True)
 class SubsetWeakOrder:
     """A complete preorder on all subsets, stored as one integer rank per mask.
 
     Higher rank means strictly preferred; equal rank means indifferent.
-    Integer ranks keep indifference exact and serializable.
+    Integer ranks keep indifference exact and serializable. The one stored
+    table is ``_np_ranks``, a read-only int64 array, so ranks must fit
+    int64; ``ranks`` reads it as a tuple of ints, built when first read.
     """
 
-    ground: GroundSet
-    ranks: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ranks = tuple(self.ranks)
-        object.__setattr__(self, "ranks", ranks)
-        ensure_tractable(self.ground.n, what="subset weak order")
-        if len(ranks) != self.ground.n_masks:
+    def __init__(self, ground: GroundSet, ranks: Sequence[int] | np.ndarray) -> None:
+        ensure_tractable(ground.n, what="subset weak order")
+        r = np.array(ranks)  # a copy: no caller's array is kept
+        if len(r) != ground.n_masks:
             raise ValueError("exactly one rank per subset required")
-        if not all(isinstance(r, int) for r in ranks):
-            raise ValueError("ranks must be integers")
+        if r.dtype.kind not in "bi":  # not integers, or integers numpy holds as float or uint64
+            r = np.array(ranks, dtype=object)
+            if not all(isinstance(x, (int, np.integer)) for x in r):
+                raise ValueError("ranks must be integers")
+            if not (-1 << 63 <= min(r) and max(r) < 1 << 63):
+                raise ValueError("ranks must lie within int64, from -2**63 to 2**63 - 1")
+        self.ground, self._np_ranks = ground, r.astype(np.int64, copy=False)
+        self._np_ranks.flags.writeable = False
+
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(self._np_ranks.tolist())
 
     def rank(self, s: Subset | int) -> int:
         mask = s.bits if isinstance(s, Subset) else s
-        return self.ranks[mask]
+        return int(self._np_ranks[mask])
 
     def le(self, a: Subset | int, b: Subset | int) -> bool:
         return self.rank(a) <= self.rank(b)
@@ -454,41 +463,56 @@ class SubsetWeakOrder:
 
     @property
     def n_tiers(self) -> int:
-        return len(set(self.ranks))
+        return len(np.unique(self._np_ranks))
+
+    def _key(self) -> tuple:
+        return self.ground, self._np_ranks.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SubsetWeakOrder) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-def _transpose(down: Sequence[int]) -> list[int]:
-    """Up-masks from down-masks: bit j of entry i says i <= j."""
-    return [sum(1 << j for j, d in enumerate(down) if d >> i & 1) for i in range(len(down))]
+def _bit_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """Boolean matrix whose row i holds the low n bits of masks[i]."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """The masks whose bits are the rows of a boolean matrix."""
+    return [int.from_bytes(r.tobytes(), "little") for r in np.packbits(rows, axis=1, bitorder="little")]
 
 
 @dataclass(frozen=True)
 class FiniteLattice:
-    """An explicit finite lattice: order table plus meet and join tables.
+    """An explicit finite lattice, given by its order.
 
-    ``down_masks[i]`` has bit j set iff elems[j] <= elems[i]. The meet and
-    join tables hold element indices and are validated exhaustively against
-    the order: every entry must be the greatest lower / least upper bound.
-    A global bottom and top must exist.
+    ``down_masks[i]`` has bit j set iff elems[j] <= elems[i]. Construction
+    checks that the order is a partial order with a global bottom and top,
+    and derives the meet and join tables, which hold element indices. The
+    meet of i and j is the element whose down-set is ``down[i] & down[j]``
+    and the join the one whose up-set is ``up[i] & up[j]``: looking these
+    sets up among the down- and up-sets is itself the lattice check.
     """
 
     elems: tuple[str, ...]
     down_masks: tuple[int, ...]
-    meet_table: tuple[tuple[int, ...], ...]
-    join_table: tuple[tuple[int, ...], ...]
+    meet_table: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    join_table: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        elems = tuple(self.elems)
+        elems, down = tuple(self.elems), tuple(self.down_masks)
         object.__setattr__(self, "elems", elems)
-        object.__setattr__(self, "down_masks", tuple(self.down_masks))
-        object.__setattr__(self, "meet_table", tuple(tuple(r) for r in self.meet_table))
-        object.__setattr__(self, "join_table", tuple(tuple(r) for r in self.join_table))
+        object.__setattr__(self, "down_masks", down)
         if len(set(elems)) != len(elems):
             raise ValueError("lattice element names must be distinct")
         n = len(elems)
         if n == 0:
             raise NotALatticeError("a lattice needs at least one element")
-        down = self.down_masks
         if len(down) != n:
             raise ValueError("one down-mask per element required")
         for i in range(n):
@@ -496,55 +520,38 @@ class FiniteLattice:
                 raise ValueError("down-mask out of range")
             if not down[i] >> i & 1:
                 raise NotALatticeError(f"order not reflexive at {elems[i]!r}")
+        leq = _bit_rows(down, n)  # leq[i, j]: elems[j] <= elems[i]
+        up = _row_masks(leq.T)
+        by_down, by_up = dict(zip(down, range(n))), dict(zip(up, range(n)))
+        meet, join = [], []
         for i in range(n):
-            probe = down[i]
-            while probe:
-                j = (probe & -probe).bit_length() - 1
-                probe &= probe - 1
-                if j != i and down[i] >> j & 1 and down[j] >> i & 1:
-                    raise NotALatticeError(
-                        f"order not antisymmetric between {elems[i]!r} and {elems[j]!r}"
-                    )
-                if down[j] & ~down[i]:
-                    raise NotALatticeError(
-                        f"order not transitive below {elems[i]!r} via {elems[j]!r}"
-                    )
-        if len(self.meet_table) != n or len(self.join_table) != n:
-            raise ValueError("meet/join tables must be n x n")
-        for i in range(n):
-            if len(self.meet_table[i]) != n or len(self.join_table[i]) != n:
-                raise ValueError("meet/join tables must be n x n")
-            for j in range(n):
-                m = self.meet_table[i][j]
-                z = self.join_table[i][j]
-                if not (0 <= m < n and 0 <= z < n):
-                    raise ValueError("meet/join entries must be element indices")
-                lower = down[i] & down[j]
-                if down[m] != lower:
-                    raise NotALatticeError(
-                        f"meet({elems[i]!r},{elems[j]!r})={elems[m]!r} is not the "
-                        f"greatest lower bound"
-                    )
-                upper = self._up_masks[i] & self._up_masks[j]
-                if self._up_masks[z] != upper:
-                    raise NotALatticeError(
-                        f"join({elems[i]!r},{elems[j]!r})={elems[z]!r} is not the "
-                        f"least upper bound"
-                    )
-        # bottom: below everything; top: above everything
-        full = (1 << n) - 1
-        bottoms = [i for i in range(n) if all(down[j] >> i & 1 for j in range(n))]
-        tops = [i for i in range(n) if down[i] == full]
-        if not bottoms:
+            meet.append(tuple([by_down.get(down[i] & d) for d in down]))
+            join.append(tuple([by_up.get(up[i] & u) for u in up]))
+            if None in meet[i] or None in join[i]:
+                j = next(j for j in range(n) if meet[i][j] is None or join[i][j] is None)
+                bound = "greatest lower" if meet[i][j] is None else "least upper"
+                raise NotALatticeError(f"{elems[i]!r} and {elems[j]!r} have no {bound} bound")
+        # (i, j) breaks the order when j <= i <= j, or when the down-set of
+        # j <= i leaks out of that of i; the first such cell in row-major order
+        f = leq.astype(np.float32)
+        twins = leq & leq.T & ~np.eye(n, dtype=bool)
+        bad = twins | (leq & (f @ (1 - f.T) > 0).T)
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), n)
+            if twins[i, j]:
+                raise NotALatticeError(
+                    f"order not antisymmetric between {elems[i]!r} and {elems[j]!r}"
+                )
+            raise NotALatticeError(f"order not transitive below {elems[i]!r} via {elems[j]!r}")
+        bottoms, tops = np.flatnonzero(leq.all(axis=0)), np.flatnonzero(leq.all(axis=1))
+        if not bottoms.size:
             raise NotALatticeError("no global bottom element")
-        if not tops:
+        if not tops.size:
             raise NotALatticeError("no global top element")
-        object.__setattr__(self, "_bottom_i", bottoms[0])
-        object.__setattr__(self, "_top_i", tops[0])
-
-    @cached_property
-    def _up_masks(self) -> tuple[int, ...]:
-        return tuple(_transpose(self.down_masks))
+        object.__setattr__(self, "meet_table", tuple(meet))
+        object.__setattr__(self, "join_table", tuple(join))
+        object.__setattr__(self, "_bottom_i", int(bottoms[0]))
+        object.__setattr__(self, "_top_i", int(tops[0]))
 
     @classmethod
     def from_leq_pairs(
@@ -575,27 +582,7 @@ class FiniteLattice:
         else:
             for i in range(n):
                 down[i] |= 1 << i
-        ups = _transpose(down)
-        by_down, by_up = {}, {}
-        for k in reversed(range(n)):  # the first element with a down- or up-set wins
-            by_down[down[k]] = by_up[ups[k]] = k
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                glb = by_down.get(down[i] & down[j])
-                if glb is None:
-                    raise NotALatticeError(
-                        f"{elems[i]!r} and {elems[j]!r} have no greatest lower bound"
-                    )
-                meet[i][j] = glb
-                lub = by_up.get(ups[i] & ups[j])
-                if lub is None:
-                    raise NotALatticeError(
-                        f"{elems[i]!r} and {elems[j]!r} have no least upper bound"
-                    )
-                join[i][j] = lub
-        return cls(elems, tuple(down), tuple(tuple(r) for r in meet), tuple(tuple(r) for r in join))
+        return cls(elems, tuple(down))
 
     @property
     def n(self) -> int:

@@ -182,7 +182,7 @@ def family_from_doc(doc: Mapping) -> SetFamily:
 
 
 def cf_to_doc(f: ChoiceFunction) -> dict:
-    codec, t = _SubsetCodec(f.ground), f.table
+    codec, t = _SubsetCodec(f.ground), f._np_table.tolist()
     names = codec.names
     return {
         "kind": "choice_function",
@@ -218,7 +218,7 @@ def cf_from_doc(doc: Mapping) -> ChoiceFunction:
             f"table covers {ground.n_masks - len(missing)} of {ground.n_masks} "
             f"menus; e.g. {Subset(ground, missing[0])!r} is missing"
         )
-    return ChoiceFunction(ground, tuple(table))
+    return ChoiceFunction(ground, table)
 
 
 def preorder_to_doc(p: Preorder) -> dict:

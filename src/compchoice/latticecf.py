@@ -276,24 +276,11 @@ def induce_lattice_cf(u: LatticeFunction) -> LatticeCF:
     ``NoUniqueMinimizerError`` with an incomparable maximizer pair.
     """
     lat = u.lattice
-    vals = u.values
     table = []
     for x in range(lat.n):
-        mask = lat.down_masks[x]
-        best = None
-        args: list[int] = []
-        probe = mask
-        while probe:
-            y = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            v = vals[y]
-            if best is None or v > best:
-                best = v
-                args = [y]
-            elif v == best:
-                args.append(y)
+        best, args = _maximizers_below(u, x)
         candidate = reduce(lambda a, b: lat.meet_table[a][b], args)
-        if vals[candidate] != best:
+        if u.values[candidate] != best:
             # a chain of maximizers would make its least member the meet, so
             # a failure always exhibits an incomparable pair
             pair = next(
@@ -316,20 +303,23 @@ def induce_lattice_cf(u: LatticeFunction) -> LatticeCF:
 def argmax_downset(u: LatticeFunction, x: str) -> tuple[str, ...]:
     """All maximizers of u over the downset of x, in element order."""
     lat = u.lattice
-    mask = lat.down_masks[lat.index(x)]
+    return tuple(lat.elems[y] for y in _maximizers_below(u, lat.index(x))[1])
+
+
+def _maximizers_below(u: LatticeFunction, x: int) -> tuple[Fraction, list[int]]:
+    """The maximum of u over the downset of element index x, and the
+    indices attaining it, ascending."""
     vals = u.values
-    best = None
-    args: list[int] = []
-    probe = mask
+    best, args = None, []
+    probe = u.lattice.down_masks[x]
     while probe:
         y = (probe & -probe).bit_length() - 1
         probe &= probe - 1
         if best is None or vals[y] > best:
-            best = vals[y]
-            args = [y]
+            best, args = vals[y], [y]
         elif vals[y] == best:
             args.append(y)
-    return tuple(lat.elems[y] for y in args)
+    return best, args
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def image_family(f: ChoiceFunction) -> SetFamily:
     """All values taken by f. Coincides with the open sets when f is
     complementary; computed separately so nothing assumes the coincidence
     for arbitrary f."""
-    return SetFamily(f.ground, frozenset(f.table))
+    return SetFamily(f.ground, frozenset(np.unique(f._np_table).tolist()))
 
 
 def interior_cf(family: SetFamily) -> ChoiceFunction:
@@ -85,17 +85,15 @@ def neighborhoods(f: ChoiceFunction, x: str) -> SetFamily:
     """All menus from which x is chosen. Upward closed for complementary f."""
     _require_complementary(f, "neighborhoods")
     bit = 1 << f.ground.index(x)
-    return SetFamily(f.ground, frozenset(m for m in range(f.ground.n_masks) if f.table[m] & bit))
+    return SetFamily(f.ground, frozenset(np.flatnonzero(f._np_table & bit).tolist()))
 
 
 def open_neighborhoods(f: ChoiceFunction, x: str) -> SetFamily:
     """All open menus containing x."""
     _require_complementary(f, "open_neighborhoods")
-    bit = 1 << f.ground.index(x)
-    return SetFamily(
-        f.ground,
-        frozenset(m for m, c in enumerate(f.table) if c == m and m & bit),
-    )
+    t, bit = f._np_table, 1 << f.ground.index(x)
+    opens = np.flatnonzero((t == np.arange(len(t))) & (t & bit != 0))
+    return SetFamily(f.ground, frozenset(opens.tolist()))
 
 
 def minimal_neighborhoods(f: ChoiceFunction, x: str) -> SetFamily:

@@ -277,7 +277,7 @@ def synthesize(f: ChoiceFunction) -> SetFunction:
     _require_complementary(f, "synthesize")
     opens = open_sets(f).sorted_masks
     counts = _submask_reduce(f.ground.n, opens, 1, np.add, what="set-function table")
-    return SetFunction(f.ground, counts)
+    return SetFunction._of(f.ground, counts, 1)
 
 
 def default_epsilon(ground: GroundSet) -> Fraction:
@@ -369,14 +369,14 @@ def induce_cf(u: SetFunction) -> ChoiceFunction:
             where=Subset(ground, m),
             pair=(Subset(ground, pair[0]), Subset(ground, pair[1])),
         )
-    return ChoiceFunction(ground, tuple(inter.tolist()))
+    return ChoiceFunction(ground, inter)
 
 
 def order_from_setfn(u: SetFunction) -> SubsetWeakOrder:
     """The weak order the values induce on subsets: only the comparisons
     matter for choice, not the numbers themselves."""
     ranks = np.unique(u._scaled_ints, return_inverse=True)[1]
-    return SubsetWeakOrder(u.ground, tuple(ranks.reshape(-1).tolist()))
+    return SubsetWeakOrder(u.ground, ranks.reshape(-1))
 
 
 def is_supermodular_order(
@@ -389,10 +389,7 @@ def is_supermodular_order(
     # the second condition implies the first, so a pair violates the order
     # exactly when the intersection drops below A and B does not drop
     # strictly below the union
-    hit = _first_violation(
-        np.asarray(w.ranks, dtype=np.int64),
-        lambda a, ra, b, rb, t: (t[a & b] < ra) & (rb >= t[a | b]),
-    )
+    hit = _first_violation(w._np_ranks, lambda a, ra, b, rb, t: (t[a & b] < ra) & (rb >= t[a | b]))
     if hit is None:
         return True, None
     return False, (Subset(w.ground, hit[0]), Subset(w.ground, hit[1]))
@@ -415,7 +412,7 @@ def cf_from_order(w: SubsetWeakOrder) -> ChoiceFunction:
             f"A={witness[0]!r} B={witness[1]!r}",
             witness=witness,
         )
-    ranks = np.asarray(w.ranks, dtype=np.int64)
+    ranks = w._np_ranks
     best, inter = _subset_max(ranks)
     failed = ranks[inter] != best
     if failed.any():
@@ -424,14 +421,14 @@ def cf_from_order(w: SubsetWeakOrder) -> ChoiceFunction:
             f"maximal tier of menu {Subset(w.ground, m)!r} is not closed "
             f"under intersection despite a supermodular order"
         )
-    return ChoiceFunction(w.ground, tuple(inter.tolist()))
+    return ChoiceFunction(w.ground, inter)
 
 
 def random_modular(ground: GroundSet, rng: random.Random, span: int = 3) -> SetFunction:
     """A random modular function: a constant plus per-element weights."""
     alpha = rng.randint(-span, span)
     beta = [rng.randint(-span, span) for _ in range(ground.n)]
-    return SetFunction(ground, _modular(ground, beta, alpha))
+    return SetFunction._of(ground, _modular(ground, beta, alpha), 1)
 
 
 def random_supermodular(

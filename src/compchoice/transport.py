@@ -130,7 +130,7 @@ class Lift:
             return ["pair space, point map and pair order disagree on the ground set"]
         if self.phi.target != f.ground:
             return ["point map target differs from the lifted ground set"]
-        if ideal_image(self.phi, self.order).table != f.table:
+        if ideal_image(self.phi, self.order) != f:
             return ["direct image does not reproduce the lifted function"]
         return []
 

@@ -1,6 +1,7 @@
 import random
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +12,9 @@ from compchoice import (
     Preorder,
     SetFamily,
     SubsetWeakOrder,
+    cf_from_order,
     downset,
+    is_supermodular_order,
     is_intersection_closed,
     is_union_closed,
     powerset_limit,
@@ -26,7 +29,7 @@ from compchoice.errors import (
     NotALatticeError,
     PowersetLimitError,
 )
-from compchoice.latticecf import chain_lattice, divisor_lattice
+from compchoice.latticecf import chain_lattice, divisor_lattice, standard_lattice_suite
 
 
 def fam(ground, *memberses):
@@ -237,6 +240,24 @@ class TestSubsetWeakOrder:
             SubsetWeakOrder(ab, (0, 1, 2))
         with pytest.raises(ValueError):
             SubsetWeakOrder(ab, (0, 1, 2, 2.5))
+        with pytest.raises(ValueError, match="integers"):
+            SubsetWeakOrder(ab, np.array([0.0, 1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("rank", [2**70, 2**63, -(2**63) - 1, -(2**70)])
+    def test_ranks_beyond_int64_refused(self, ab, rank):
+        with pytest.raises(ValueError, match=r"int64, from -2\*\*63 to 2\*\*63 - 1"):
+            SubsetWeakOrder(ab, (0, 1, 2, rank))
+
+    @pytest.mark.parametrize("ranks, table", [
+        ((-(2**63), 0, 0, 2**63 - 1), (0, 1, 2, 3)),
+        ((2**63 - 1, -(2**63 - 1), -(2**63 - 1), 2**63 - 1), (0, 0, 0, 0)),
+    ])
+    def test_int64_extremes_work_end_to_end(self, ab, ranks, table):
+        # ranks are only compared, never added, so the int64 extremes are exact
+        w = SubsetWeakOrder(ab, ranks)
+        assert w.ranks == ranks and w.rank(3) == ranks[3]
+        assert is_supermodular_order(w) == (True, None)
+        assert cf_from_order(w).table == table
 
     def test_comparisons(self, ab):
         w = SubsetWeakOrder(ab, (0, 2, 1, 2))
@@ -265,32 +286,55 @@ class TestFiniteLattice:
         with pytest.raises(NotALatticeError):
             FiniteLattice.from_leq_pairs(("x", "y"), [("x", "y"), ("y", "x")])
 
-    def test_corrupted_tables_rejected(self):
-        lat = divisor_lattice(6)
-        n = lat.n
-        for i in range(n):
-            for j in range(n):
-                for wrong in range(n):
-                    if wrong != lat.meet_table[i][j]:
-                        bad = [list(r) for r in lat.meet_table]
-                        bad[i][j] = wrong
-                        with pytest.raises(NotALatticeError):
-                            FiniteLattice(
-                                lat.elems,
-                                lat.down_masks,
-                                tuple(tuple(r) for r in bad),
-                                lat.join_table,
-                            )
-                    if wrong != lat.join_table[i][j]:
-                        bad = [list(r) for r in lat.join_table]
-                        bad[i][j] = wrong
-                        with pytest.raises(NotALatticeError):
-                            FiniteLattice(
-                                lat.elems,
-                                lat.down_masks,
-                                lat.meet_table,
-                                tuple(tuple(r) for r in bad),
-                            )
+    def test_tables_are_the_definitional_bounds(self):
+        # the greatest lower and least upper bound of every pair, found by
+        # scanning all elements, on every lattice of the suite and on a
+        # lattice built directly from its down-masks
+        def bound(lat, i, j, below):
+            def le(x, y):
+                return (lat.down_masks[y] >> x & 1) if below else (lat.down_masks[x] >> y & 1)
+            common = [k for k in range(lat.n) if le(k, i) and le(k, j)]
+            (best,) = [k for k in common if all(le(c, k) for c in common)]
+            return best
+
+        lattices = [lat for _, lat in standard_lattice_suite()]
+        lattices.append(FiniteLattice(("b", "x", "y", "t"), (0b0001, 0b0011, 0b0101, 0b1111)))
+        for lat in lattices:
+            for i in range(lat.n):
+                for j in range(lat.n):
+                    assert lat.meet_table[i][j] == bound(lat, i, j, True)
+                    assert lat.join_table[i][j] == bound(lat, i, j, False)
+            assert lat.down_masks[lat._bottom_i] == 1 << lat._bottom_i
+            assert lat.down_masks[lat._top_i] == (1 << lat.n) - 1
+
+    def test_order_errors_keep_their_messages(self):
+        cases = [
+            (("x", "y"), (0b01, 0b10), "'x' and 'y' have no greatest lower bound"),
+            (("b", "x", "y"), (0b001, 0b011, 0b101), "'x' and 'y' have no least upper bound"),
+            (("x", "y"), (0b11, 0b11), "order not antisymmetric between 'x' and 'y'"),
+            # every pair finds its bounds, but c <= a while d <= c and not d <= a
+            (tuple("abcde"), (0b00111, 0b00110, 0b01110, 0b01110, 0b11111),
+             "order not transitive below 'a' via 'c'"),
+            (("a", "b"), (0b01, 0b00), "order not reflexive at 'b'"),
+        ]
+        for elems, down, message in cases:
+            with pytest.raises(NotALatticeError) as exc:
+                FiniteLattice(elems, down)
+            assert str(exc.value) == message
+        with pytest.raises(ValueError, match="distinct"):
+            FiniteLattice(("a", "a"), (0b01, 0b11))
+        with pytest.raises(ValueError, match="out of range"):
+            FiniteLattice(("a",), (0b11,))
+        with pytest.raises(NotALatticeError, match="at least one"):
+            FiniteLattice((), ())
+        with pytest.raises(NotALatticeError, match="no greatest lower bound"):
+            FiniteLattice.from_leq_pairs(("x", "y", "t"), [("x", "t"), ("y", "t")])
+
+    def test_equal_orders_equal_lattices(self):
+        lat = divisor_lattice(12)
+        twin = FiniteLattice(lat.elems, lat.down_masks)
+        assert twin == lat and hash(twin) == hash(lat)
+        assert twin.meet_table == lat.meet_table and twin.join_table == lat.join_table
 
     def test_chain(self):
         lat = chain_lattice(4)

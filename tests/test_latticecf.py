@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -234,6 +235,44 @@ class TestInduceLattice:
         with pytest.raises(NoUniqueMinimizerError) as exc:
             induce_lattice_cf(u)
         assert set(exc.value.pair) == set(mids)
+
+
+    def test_matches_the_per_element_walk(self):
+        # the walk both functions carried before sharing one helper, kept
+        # as the oracle: maximizers ascending, and the first failing element
+        def walk(u, x):
+            vals, best, args = u.values, None, []
+            for y in range(u.lattice.n):
+                if u.lattice.down_masks[x] >> y & 1:
+                    if best is None or vals[y] > best:
+                        best, args = vals[y], [y]
+                    elif vals[y] == best:
+                        args.append(y)
+            return best, args
+
+        rng = random.Random(6)
+        for _, lat in standard_lattice_suite():
+            for _ in range(15):
+                u = LatticeFunction(lat, tuple(Fraction(rng.randint(0, 2)) for _ in range(lat.n)))
+                expected, failure = [], None
+                for x in range(lat.n):
+                    best, args = walk(u, x)
+                    assert argmax_downset(u, lat.elems[x]) == tuple(lat.elems[y] for y in args)
+                    meet = args[0]
+                    for y in args[1:]:
+                        meet = lat.meet_table[meet][y]
+                    if failure is None and u.values[meet] != best:
+                        pair = next((a, b) for i, a in enumerate(args) for b in args[i + 1:]
+                                    if not lat.leq(lat.elems[a], lat.elems[b])
+                                    and not lat.leq(lat.elems[b], lat.elems[a]))
+                        failure = (lat.elems[x], (lat.elems[pair[0]], lat.elems[pair[1]]))
+                    expected.append(meet)
+                if failure is None:
+                    assert induce_lattice_cf(u).table == tuple(expected)
+                else:
+                    with pytest.raises(NoUniqueMinimizerError) as exc:
+                        induce_lattice_cf(u)
+                    assert (exc.value.where, exc.value.pair) == failure
 
 
 class TestCorrespondenceExhaustive:

@@ -160,9 +160,9 @@ class TestKernel:
     def test_repeated_seeds_combine(self):
         # two points with one principal ideal seed the same mask
         twins = choicefn._submask_reduce(2, [3, 3], [1, 2], np.bitwise_or)
-        assert twins == [0, 0, 0, 3]
+        assert twins.tolist() == [0, 0, 0, 3]
         counts = choicefn._submask_reduce(2, [0, 1, 1], 1, np.add)
-        assert counts == [1, 3, 1, 3]
+        assert counts.tolist() == [1, 3, 1, 3]
 
     def test_refused_above_cap_before_allocation(self, monkeypatch):
         def no_allocation(*args, **kwargs):
