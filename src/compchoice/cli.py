@@ -400,6 +400,11 @@ def cmd_convert(args: argparse.Namespace, config: RunConfig) -> int:
             f"valid targets here: {', '.join(kinds) or 'none'}"
         )
         return EXIT_INPUT
+    if route is _route_cf_to_setfn and args.perturb and config.epsilon is not None:
+        n = obj.ground.n
+        if n * config.epsilon >= 1:  # a penalty of 1 or more can reorder integer values
+            _emit(f"error: --epsilon {config.epsilon} is too large at n = {n}: it must be below 1/{n}")
+            return EXIT_INPUT
     try:
         if route is _route_cf_to_setfn:
             out, checks = route(obj, config, do_perturb=args.perturb)
@@ -413,14 +418,13 @@ def cmd_convert(args: argparse.Namespace, config: RunConfig) -> int:
         "checks": checks,
         "ok": all(c["ok"] for c in checks),
     }
-    doc = documents.to_document(out)
     if not stamp["ok"]:
         _emit(f"re-verification FAILED on route {stamp['route']}:")
         for c in checks:
             _emit(f"  [{'ok' if c['ok'] else 'FAILED'}] {c['name']}")
         return EXIT_INTERNAL
     if config.output:
-        documents.dump_path(doc, config.output)
+        documents.dump_path(out, config.output)
         if config.format == "json":
             _emit(json.dumps({"stamp": stamp, "output": config.output}, ensure_ascii=False))
         else:
@@ -429,11 +433,11 @@ def cmd_convert(args: argparse.Namespace, config: RunConfig) -> int:
                 _emit(f"  [ok] {c['name']}")
     else:
         if config.format == "json":
-            _emit(documents._canonical_text({"document": doc, "stamp": stamp}))
+            _emit(documents._canonical_text({"document": documents._document_text(out), "stamp": stamp}))
         else:
             for c in checks:
                 _emit(f"  [ok] {c['name']}")
-            _emit(documents.dumps(doc))
+            _emit(documents.dumps(out))
     return EXIT_OK
 
 

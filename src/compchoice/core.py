@@ -80,6 +80,14 @@ class GroundSet:
     def _index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.elements)}
 
+    @cached_property
+    def _codec(self):
+        """The document form of every subset (``documents._SubsetCodec``),
+        so that a table's load and its dump share one."""
+        from .documents import _SubsetCodec  # documents imports this module
+
+        return _SubsetCodec(self)
+
     def index(self, name: str) -> int:
         try:
             return self._index[name]

@@ -5,7 +5,8 @@ masks, so files are independent of ground-set order. Dumps are canonical
 (fixed key order, sorted subset arrays, deterministic pair order); loading
 a canonical dump and dumping again reproduces it byte for byte. The text is
 what ``json.dumps(doc, ensure_ascii=False, indent=2)`` writes, produced by
-``_canonical_text``.
+``_canonical_text``; ``_document_text`` writes the same text for choice
+tables and set functions straight from their arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Any, Callable
 
 import numpy as np
@@ -30,7 +33,7 @@ from .errors import (
 )
 from .latticecf import LatticeCF, LatticeFunction
 from .pretop import NeighborhoodSystem
-from .supermod import SetFunction
+from .supermod import _INT64_GUARD, SetFunction
 from .transport import Lift, PointMap, ideal_image
 
 
@@ -54,13 +57,28 @@ def _expect_names(val: Any, where: str) -> list[str]:
     return val
 
 
-def _expect_pair(val: Any, message: str, names: int = 2) -> list:
-    """A two-entry array whose first ``names`` entries are names."""
+def _expect_pair(val: Any, message: str, i: int, names: int = 2) -> list:
+    """A two-entry array whose first ``names`` entries are names; else
+    ``message``, with ``{}`` standing for the entry's index ``i``."""
     if not isinstance(val, list) or len(val) != 2 or not all(
         isinstance(x, str) for x in val[:names]
     ):
-        _fail(message)
+        _fail(message.format(i))
     return val
+
+
+def _load_pairs(raw: list, message: str) -> list[tuple[str, str]]:
+    """Each entry, a two-entry array of names, as a tuple. The entries are
+    checked in one pass; only a failing check walks them one by one, to name
+    the first bad entry as ``_expect_pair`` does."""
+    if not (
+        set(map(type, raw)) <= {list}
+        and set(map(len, raw)) <= {2}
+        and set(map(type, chain.from_iterable(raw))) <= {str}
+    ):
+        for i, pair in enumerate(raw):
+            _expect_pair(pair, message, i)
+    return list(map(tuple, raw))
 
 
 def _load_ground(doc: Mapping, key: str = "ground") -> GroundSet:
@@ -85,31 +103,53 @@ def _subset_key(s: Subset) -> list[str]:
 
 class _SubsetCodec:
     """Every subset of one ground set in its document form, for the tables
-    that list all 2^n of them.
+    that list all 2^n of them. A ground set holds one (``GroundSet._codec``)
+    and each part is built on first use.
 
-    ``names[m]`` is the alphabetically sorted name tuple of mask m,
-    ``order`` lists the masks sorted by those tuples (the canonical entry
-    order), and ``mask_of`` reads a name array back. Ranks are the
-    positions of the names in alphabetical order; in rank space the lowest
-    bit is the first name, so each tuple extends the one of a smaller mask.
+    ``names[m]`` is the alphabetically sorted name tuple of mask m and
+    ``texts[m]`` its array as a table entry prints it; ``order`` lists the
+    masks sorted by those tuples (the canonical entry order), and
+    ``mask_of`` and ``masks`` read name arrays back. In a rank mask, bit j
+    stands for the j-th name in alphabetical order, so the tuple and text of
+    a rank mask holding j as its top bit are those of the rank mask without
+    it, with that name added at the end.
     """
 
     def __init__(self, ground: GroundSet) -> None:
-        alphabetical = sorted(ground.elements)
-        by_rank: list[tuple[str, ...]] = [()] * ground.n_masks
-        for r in range(1, ground.n_masks):
-            by_rank[r] = (alphabetical[(r & -r).bit_length() - 1],) + by_rank[r & (r - 1)]
-        rank = np.zeros(ground.n_masks, dtype=np.int64)  # mask -> rank mask
-        for i, name in enumerate(ground.elements):
-            rank.reshape(-1, 2, 1 << i)[:, 1] += 1 << alphabetical.index(name)
         self.ground = ground
-        self.names = [by_rank[r] for r in rank.tolist()]
-        # Rank masks over the top ranks j.. in tuple order: the empty set,
-        # then those holding rank j (it sorts first), then the rest.
-        lex = np.zeros(1, dtype=np.int64)
-        for j in reversed(range(ground.n)):
-            lex = np.concatenate((lex[:1], lex | 1 << j, lex[1:]))
-        self.order = np.argsort(rank)[lex].tolist()
+        self._alphabetical = sorted(ground.elements)
+        position = {x: j for j, x in enumerate(self._alphabetical)}
+        self._rank = [0]  # mask -> rank mask
+        for name in ground.elements:
+            bit = 1 << position[name]
+            self._rank += [r + bit for r in self._rank]
+
+    @cached_property
+    def order(self) -> list[int]:
+        # The masks over the names from the j-th alphabetically on, in tuple
+        # order: the empty set, then those holding the j-th name (it sorts
+        # first), then the rest.
+        order = np.zeros(1, dtype=np.int64)
+        for x in reversed(self._alphabetical):
+            order = np.concatenate((order[:1], order | 1 << self.ground.index(x), order[1:]))
+        return order.tolist()
+
+    @cached_property
+    def names(self) -> list[tuple[str, ...]]:
+        by_rank: list[tuple[str, ...]] = [()]
+        for x in self._alphabetical:
+            by_rank += [t + (x,) for t in by_rank]
+        return [by_rank[r] for r in self._rank]
+
+    @cached_property
+    def texts(self) -> list[str]:
+        """Each mask's name array as ``_canonical_text`` writes it at the
+        depth of a table entry's field."""
+        tails = [""]
+        for x in self._alphabetical:
+            item = ",\n        " + encode_basestring(x)
+            tails += [t + item for t in tails]
+        return ["[" + tails[r][1:] + "\n      ]" if r else "[]" for r in self._rank]
 
     @cached_property
     def _masks(self) -> dict[tuple[str, ...], int]:
@@ -124,6 +164,20 @@ class _SubsetCodec:
             except (KeyError, TypeError):  # not canonical, or unhashable entries
                 pass
         return _load_subset(self.ground, val, where).bits
+
+    def masks(self, entries: list, key: str) -> np.ndarray | None:
+        """The masks of the name arrays ``entry[key]``, read in one pass of
+        lookups; None unless every entry is an object whose array there is
+        canonical."""
+        if set(map(type, entries)) != {dict}:
+            return None
+        try:
+            arrays = list(map(itemgetter(key), entries))
+            if set(map(type, arrays)) != {list}:  # a string or an object is no name array
+                return None
+            return np.fromiter(map(self._masks.__getitem__, map(tuple, arrays)), np.int64, len(arrays))
+        except (KeyError, TypeError):  # a missing field, an unknown or unhashable array
+            return None
 
 
 def load_rational(val: Any, where: str) -> Fraction:
@@ -161,6 +215,16 @@ def _load_value(val: Any, where: str) -> int | Fraction:
     return load_rational(val, where)
 
 
+def _bulk_values(entries: list[dict]) -> list | None:
+    """``_load_value`` of every entry's value, or None if one is missing or
+    refused; the per-entry loop then names it."""
+    try:
+        raw = list(map(itemgetter("value"), entries))
+        return raw if set(map(type, raw)) <= {int} else [_load_value(v, "value") for v in raw]
+    except (KeyError, DocumentError):
+        return None
+
+
 # ---------------------------------------------------------------------------
 # per-kind converters
 
@@ -182,7 +246,7 @@ def family_from_doc(doc: Mapping) -> SetFamily:
 
 
 def cf_to_doc(f: ChoiceFunction) -> dict:
-    codec, t = _SubsetCodec(f.ground), f._np_table.tolist()
+    codec, t = f.ground._codec, f._np_table.tolist()
     names = codec.names
     return {
         "kind": "choice_function",
@@ -195,7 +259,14 @@ def cf_from_doc(doc: Mapping) -> ChoiceFunction:
     ground = _load_ground(doc)
     ensure_tractable(ground.n, what="choice table")
     entries = _expect_list(doc, "table")
-    codec = _SubsetCodec(ground)
+    codec = ground._codec
+    menus, choices = codec.masks(entries, "menu"), codec.masks(entries, "choice")
+    if menus is not None and choices is not None:
+        table = np.zeros(ground.n_masks, dtype=np.int64)
+        table[menus] = choices
+        if (np.bincount(menus, minlength=ground.n_masks) == 1).all() and not (choices & ~menus).any():
+            return ChoiceFunction(ground, table)
+    # anything else is read entry by entry, which names the first bad one
     table: list[int | None] = [None] * ground.n_masks
     for i, entry in enumerate(entries):
         if not isinstance(entry, Mapping):
@@ -231,11 +302,9 @@ def preorder_to_doc(p: Preorder) -> dict:
 
 def preorder_from_doc(doc: Mapping, *, require_closed: bool = False) -> Preorder:
     carrier = _expect_names(_expect_list(doc, "carrier"), "carrier")
-    raw = _expect_list(doc, "pairs")
-    pairs = []
-    for i, pair in enumerate(raw):
-        msg = f"pairs[{i}] must be a [y, x] array of names meaning y <= x"
-        pairs.append(tuple(_expect_pair(pair, msg)))
+    pairs = _load_pairs(
+        _expect_list(doc, "pairs"), "pairs[{}] must be a [y, x] array of names meaning y <= x"
+    )
     try:
         return Preorder.from_pairs(tuple(carrier), pairs, close=not require_closed)
     except ValueError as exc:
@@ -252,11 +321,9 @@ def lattice_to_doc(lat: FiniteLattice) -> dict:
 
 def lattice_from_doc(doc: Mapping) -> FiniteLattice:
     elems = _expect_names(_expect_list(doc, "elems"), "elems")
-    raw = _expect_list(doc, "leq")
-    pairs = []
-    for i, pair in enumerate(raw):
-        msg = f"leq[{i}] must be an [x, y] array of names meaning x <= y"
-        pairs.append(tuple(_expect_pair(pair, msg)))
+    pairs = _load_pairs(
+        _expect_list(doc, "leq"), "leq[{}] must be an [x, y] array of names meaning x <= y"
+    )
     try:
         return FiniteLattice.from_leq_pairs(tuple(elems), pairs)
     except (ValueError, CompChoiceError) as exc:
@@ -264,7 +331,7 @@ def lattice_from_doc(doc: Mapping) -> FiniteLattice:
 
 
 def setfn_to_doc(u: SetFunction) -> dict:
-    codec = _SubsetCodec(u.ground)
+    codec = u.ground._codec
     names = codec.names
     values = u._scaled_ints.tolist() if u._denom == 1 else u.values
     return {
@@ -280,7 +347,16 @@ def setfn_from_doc(doc: Mapping) -> SetFunction:
     ground = _load_ground(doc)
     ensure_tractable(ground.n, what="set-function table")
     entries = _expect_list(doc, "values")
-    codec = _SubsetCodec(ground)
+    codec = ground._codec
+    subsets = codec.masks(entries, "subset")
+    if subsets is not None:
+        seen = np.bincount(subsets, minlength=ground.n_masks)
+        raw = _bulk_values(entries) if seen[0] <= 1 and (seen[1:] == 1).all() else None
+        if raw is not None:
+            by_mask = np.zeros(ground.n_masks, dtype=object)  # the empty set may be omitted
+            by_mask[subsets] = raw
+            return SetFunction(ground, by_mask)
+    # anything else is read entry by entry, which names the first bad one
     values: list[int | Fraction | None] = [None] * ground.n_masks
     for i, entry in enumerate(entries):
         if not isinstance(entry, Mapping) or "subset" not in entry or "value" not in entry:
@@ -376,20 +452,17 @@ def lift_from_doc(doc: Mapping, *, verify: bool = True) -> Lift:
     if not isinstance(source_doc, Mapping):
         _fail("field 'source' must hold the lifted choice-function document")
     source = cf_from_doc(source_doc)
-    raw_phi = _expect_list(doc, "phi")
-    mapping = {}
-    for i, pair in enumerate(raw_phi):
-        label, target = _expect_pair(pair, f"phi[{i}] must be a [pair, target] array of names")
-        mapping[label] = target
+    mapping = dict(
+        _load_pairs(_expect_list(doc, "phi"), "phi[{}] must be a [pair, target] array of names")
+    )
     try:
         phi = PointMap.from_names(space, source.ground, mapping)
     except ValueError as exc:
         _fail(f"bad point map: {exc}")
-    raw_order = _expect_list(doc, "order_pairs")
-    pairs = []
-    for i, pair in enumerate(raw_order):
-        msg = f"order_pairs[{i}] must be a [y, x] array of names meaning y <= x"
-        pairs.append(tuple(_expect_pair(pair, msg)))
+    pairs = _load_pairs(
+        _expect_list(doc, "order_pairs"),
+        "order_pairs[{}] must be a [y, x] array of names meaning y <= x",
+    )
     try:
         order = Preorder.from_pairs(space.elements, pairs)
     except ValueError as exc:
@@ -422,7 +495,7 @@ def lattice_cf_from_doc(doc: Mapping) -> LatticeCF:
     raw = _expect_list(doc, "table")
     mapping = {}
     for i, pair in enumerate(raw):
-        _expect_pair(pair, f"table[{i}] must be an [x, f(x)] array of names")
+        _expect_pair(pair, "table[{}] must be an [x, f(x)] array of names", i)
         if pair[0] in mapping:
             _fail(f"table[{i}]: duplicate element {pair[0]!r}")
         mapping[pair[0]] = pair[1]
@@ -450,7 +523,7 @@ def lattice_fn_from_doc(doc: Mapping) -> LatticeFunction:
     raw = _expect_list(doc, "values")
     values: dict[str, Fraction] = {}
     for i, pair in enumerate(raw):
-        _expect_pair(pair, f"values[{i}] must be an [x, value] array", names=1)
+        _expect_pair(pair, "values[{}] must be an [x, value] array", i, names=1)
         if pair[0] in values:
             _fail(f"values[{i}]: duplicate element {pair[0]!r}")
         values[pair[0]] = load_rational(pair[1], f"values[{i}]")
@@ -538,8 +611,17 @@ def _canonical_text(doc: Any) -> str:
     return "".join(out)
 
 
+class _Text(str):
+    """A value already written as ``_canonical_text`` writes it at the top
+    level. Written inside a document, each of its lines moves to the depth
+    there: encoded strings hold no raw newline, so every newline in it is
+    the writer's own."""
+
+
 def _write(o: Any, nl: str, out: Callable[[str], None]) -> None:
-    if isinstance(o, str):
+    if type(o) is _Text:
+        out(o.replace("\n", nl))
+    elif isinstance(o, str):
         out(encode_basestring(o))
     elif isinstance(o, (list, tuple)):
         if not o:
@@ -573,10 +655,51 @@ def _write(o: Any, nl: str, out: Callable[[str], None]) -> None:
         out(json.dumps(o))
 
 
+def _table_text(
+    kind: str, ground: GroundSet, key: str, first: str, second: str, rows: list[tuple[str, str]]
+) -> _Text:
+    """The text of a table document whose entries are objects with the
+    fields ``first`` and ``second``, whose texts ``rows`` gives."""
+    head = f'{{\n      "{first}": '
+    mid = f',\n      "{second}": '
+    out = ['{\n  "kind": "', kind, '",\n  "ground": ']
+    _write(list(ground.elements), "\n  ", out.append)
+    out += [f',\n  "{key}": [\n    ', ",\n    ".join([head + a + mid + b + "\n    }" for a, b in rows]), "\n  ]\n}"]
+    return _Text("".join(out))
+
+
+def _cf_text(f: ChoiceFunction) -> _Text:
+    codec = f.ground._codec
+    texts, t = codec.texts, f._np_table.tolist()
+    rows = [(texts[m], texts[t[m]]) for m in codec.order]
+    return _table_text("choice_function", f.ground, "table", "menu", "choice", rows)
+
+
+def _setfn_text(u: SetFunction) -> _Text:
+    codec = u.ground._codec
+    a, d = u._scaled_ints, u._denom
+    if d == 1:
+        values = [f'"{x}"' for x in a.tolist()]
+    else:  # x/d in lowest terms, as str(Fraction) writes it
+        g = np.gcd(a if d < _INT64_GUARD else a.astype(object), d)
+        values = [f'"{p}"' if q == 1 else f'"{p}/{q}"' for p, q in zip((a // g).tolist(), (d // g).tolist())]
+    rows = [(codec.texts[m], values[m]) for m in codec.order]
+    return _table_text("set_function", u.ground, "values", "subset", "value", rows)
+
+
+def _document_text(obj: Any) -> _Text:
+    """``_canonical_text(to_document(obj))``; a choice table or a set
+    function is written straight from its array, with no document built."""
+    if isinstance(obj, ChoiceFunction):
+        return _cf_text(obj)
+    if isinstance(obj, SetFunction):
+        return _setfn_text(obj)
+    return _Text(_canonical_text(to_document(obj)))
+
+
 def dumps(obj: Any) -> str:
     """Canonical text form of an object or an already-built document dict."""
-    doc = obj if isinstance(obj, dict) else to_document(obj)
-    return _canonical_text(doc) + "\n"
+    return (_canonical_text(obj) if isinstance(obj, dict) else _document_text(obj)) + "\n"
 
 
 def loads(text: str, **kwargs) -> Any:

@@ -217,6 +217,21 @@ class TestConvert:
         values = {tuple(e["subset"]): e["value"] for e in payload["document"]["values"]}
         assert values[("b", "c")] == "1/2"
 
+    def test_epsilon_bound_is_one_over_n(self, tmp_path, capsys):
+        # a penalty n * eps >= 1 can reorder menus whose values differ, which
+        # the re-verification would report as a breached invariant (exit 3)
+        ground = GroundSet(tuple(f"e{i}" for i in range(11)))
+        for seed in range(3):
+            src = tmp_path / f"cf{seed}.json"
+            documents.dump_path(random_complementary_cf(ground, random.Random(seed)), str(src))
+            for eps in ("1/7", "1", "1/11"):
+                code, out = run(capsys, "convert", src, "--to", "setfn", "--perturb", "--epsilon", eps)
+                assert code == 2
+                assert out == f"error: --epsilon {eps} is too large at n = 11: it must be below 1/11\n"
+            for eps in (["--epsilon", "1/12"], []):
+                code, out = run(capsys, "convert", src, "--to", "setfn", "--perturb", *eps, "--format", "json")
+                assert code == 0 and json.loads(out)["stamp"]["ok"] is True
+
     def test_huge_epsilon_exponent_refused(self, tmp_path, capsys):
         src = write_fixture(tmp_path, "overlapping-pairs-cf")
         for eps in ("1e100000", "1e100000000"):
@@ -233,11 +248,15 @@ class TestConvert:
         to_document = documents.to_document
         monkeypatch.setattr(documents, "to_document", lambda obj: calls.append(obj) or to_document(obj))
         extra = [str(tmp_path / a) if a.endswith(".json") else a for a in extra]
-        code, out = run(capsys, "convert", src, "--to", "setfn", *extra)
-        assert code == 0
-        assert len(calls) == 1 and type(calls[0]).__name__ == "SetFunction"
-        if "json" in extra:
-            assert json.loads(out)["stamp"]["route"] == "choice_function -> setfn"
+        # a table is written straight from its array; any other output
+        # builds its document once
+        for target, built in (("setfn", []), ("family", ["SetFamily"])):
+            calls.clear()
+            code, out = run(capsys, "convert", src, "--to", target, *extra)
+            assert code == 0
+            assert [type(obj).__name__ for obj in calls] == built
+            if "json" in extra:
+                assert json.loads(out)["stamp"]["route"] == f"choice_function -> {target}"
 
     def test_preorder_roundtrip(self, tmp_path, capsys):
         src = write_fixture(tmp_path, "twin-elements-cf")

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from compchoice import (
 )
 from compchoice import documents
 from compchoice.cli import main
+from compchoice.enumeration import random_complementary_cf
 from compchoice.errors import DocumentError, LiftVerificationError
 from compchoice.fixtures import (
     get_fixture,
@@ -32,7 +34,7 @@ from compchoice.fixtures import (
 )
 from compchoice.latticecf import cf_from_fix, divisor_lattice, synthesize
 from compchoice.pretop import neighborhood_system_of
-from compchoice.supermod import SetFunction
+from compchoice.supermod import SetFunction, default_epsilon, induce_cf, perturb
 from compchoice.supermod import synthesize as synthesize_setfn
 
 
@@ -426,10 +428,15 @@ class TestCanonicalText:
 
 
 def _slow_cf_from_doc(doc):
-    """The loader with every name array read through ``_load_subset``."""
+    """The loader one entry at a time, with every name array read through
+    ``_load_subset``: the oracle for each object and each message."""
     ground = documents._load_ground(doc)
     table = [None] * ground.n_masks
-    for i, entry in enumerate(doc["table"]):
+    for i, entry in enumerate(documents._expect_list(doc, "table")):
+        if not isinstance(entry, Mapping):
+            documents._fail(f"table[{i}] must be an object with 'menu' and 'choice'")
+        if "menu" not in entry or "choice" not in entry:
+            documents._fail(f"table[{i}] must carry both 'menu' and 'choice'")
         menu = documents._load_subset(ground, entry["menu"], f"table[{i}].menu")
         choice = documents._load_subset(ground, entry["choice"], f"table[{i}].choice")
         if table[menu.bits] is not None:
@@ -437,17 +444,33 @@ def _slow_cf_from_doc(doc):
         if choice.bits & ~menu.bits:
             documents._fail(f"table[{i}]: choice {choice!r} is not contained in menu {menu!r}")
         table[menu.bits] = choice.bits
+    if None in table:
+        missing = table.index(None)
+        documents._fail(
+            f"table covers {ground.n_masks - table.count(None)} of {ground.n_masks} "
+            f"menus; e.g. {Subset(ground, missing)!r} is missing"
+        )
     return ChoiceFunction(ground, tuple(table))
 
 
 def _slow_setfn_from_doc(doc):
     ground = documents._load_ground(doc)
     values = [None] * ground.n_masks
-    for i, entry in enumerate(doc["values"]):
+    for i, entry in enumerate(documents._expect_list(doc, "values")):
+        if not isinstance(entry, Mapping) or "subset" not in entry or "value" not in entry:
+            documents._fail(f"values[{i}] must be an object with 'subset' and 'value'")
         s = documents._load_subset(ground, entry["subset"], f"values[{i}].subset")
         if values[s.bits] is not None:
             documents._fail(f"values[{i}]: duplicate subset {s!r}")
         values[s.bits] = documents.load_rational(entry["value"], f"values[{i}].value")
+    if values[0] is None:
+        values[0] = 0
+    if None in values:
+        missing = values.index(None)
+        documents._fail(
+            f"values cover {ground.n_masks - values.count(None)} of {ground.n_masks} "
+            f"subsets; e.g. {Subset(ground, missing)!r} is missing"
+        )
     return SetFunction(ground, values)
 
 
@@ -462,6 +485,19 @@ ARRAY_EDITS = {
     "not a list": lambda names: "".join(names),
     "tuple": lambda names: tuple(names),
 }
+
+
+class _Lookalike:
+    """Reads like an entry object but is no ``Mapping``."""
+
+    def __init__(self, fields):
+        self.fields = fields
+
+    def __getitem__(self, key):
+        return self.fields[key]
+
+    def __contains__(self, key):
+        return key in self.fields
 
 
 def _outcome(load, doc):
@@ -569,3 +605,224 @@ class TestCodecLoader:
         assert codec.names == [tuple(Subset(ground, m).sorted_names()) for m in range(32)]
         assert codec.order == sorted(range(32), key=lambda m: Subset(ground, m).sorted_names())
         assert documents._SubsetCodec(GroundSet(())).order == [0]
+        # held by each ground set object, as its name index is; nothing is
+        # shared between equal ground sets
+        assert ground._codec is ground._codec
+        assert GroundSet(("b", "a"))._codec is not GroundSet(("b", "a"))._codec
+
+    # whole-table edits: each must reach the oracle's object or its message
+    @staticmethod
+    def _table_edits(doc, key, first, second):
+        entries = doc[key]
+        n = len(entries)
+
+        def edited(change):
+            d = copy.deepcopy(doc)
+            change(d, d[key])
+            return d
+
+        def set_field(k, field, value):
+            return lambda d, e: e[k].__setitem__(field, value)
+
+        yield "shuffled", edited(lambda d, e: random.Random(n).shuffle(e))
+        yield "reversed", edited(lambda d, e: e.reverse())
+        yield "extra keys", edited(lambda d, e: [d.__setitem__("note", 1)] + [x.__setitem__("note", [1]) for x in e])
+        yield "empty", edited(lambda d, e: e.clear())
+        for k in (0, 1, n // 2, n - 1):
+            yield f"duplicate {k} appended", edited(lambda d, e, k=k: e.append(copy.deepcopy(e[k])))
+            yield f"duplicate {k} for {k - 1}", edited(lambda d, e, k=k: e.__setitem__(k - 1, copy.deepcopy(e[k])))
+            yield f"missing {k}", edited(lambda d, e, k=k: e.pop(k))
+            for bad in (["a"], "x", None, 3):
+                yield f"entry {k} is {bad!r}", edited(lambda d, e, k=k, bad=bad: e.__setitem__(k, bad))
+            yield f"entry {k} is no Mapping", edited(lambda d, e, k=k: e.__setitem__(k, _Lookalike(e[k])))
+            for field in (first, second):
+                yield f"entry {k} without {field}", edited(lambda d, e, k=k, f=field: e[k].pop(f))
+            for bad in ("ab", "a", {"a": 1}, ("a",), None, 3, [None], [["a"]]):
+                yield f"{first} {k} is {bad!r}", edited(set_field(k, first, bad))
+
+    def _check_edits(self, load, slow, doc, key, first, second, extra=()):
+        seen = set()
+        for label, edited in [*self._table_edits(doc, key, first, second), *extra]:
+            fast, want = _outcome(load, edited), _outcome(slow, edited)
+            assert fast[0] == want[0], label
+            if fast[0] == "ok":
+                assert fast[1] == want[1], label
+                if isinstance(fast[1], SetFunction):
+                    assert fast[1].values == want[1].values, label
+            else:
+                assert fast[1] == want[1] and "\n" not in fast[1], label
+            seen.add(fast[0])
+        assert seen == {"ok", "error"}
+
+    @pytest.mark.parametrize("names", [("a", "b"), ("c", "a", "b"), ("x10", "é", "x2", "B")])
+    def test_whole_choice_table_edits(self, names):
+        ground = GroundSet(names)
+        f = interior_cf(SetFamily.of(ground, [names[:2], names[1:]]))
+        doc = documents.to_document(f)
+        shrunk = [k for k, e in enumerate(doc["table"]) if e["choice"] != e["menu"]]
+        extra = []
+        for k in (1, shrunk[0], shrunk[-1]):
+            for choice in (list(names), sorted(names), [names[0]], []):
+                d = copy.deepcopy(doc)
+                d["table"][k]["choice"] = choice
+                extra.append((f"choice {k} is {choice}", d))
+        self._check_edits(documents.cf_from_doc, _slow_cf_from_doc, doc, "table", "menu", "choice", extra)
+
+    @pytest.mark.parametrize("names", [("a", "b"), ("c", "a", "b")])
+    def test_whole_set_function_edits(self, names):
+        ground = GroundSet(names)
+        rng = random.Random(len(names))
+        for values in ([rng.randint(-9, 9) for _ in range(ground.n_masks)],
+                       [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ground.n_masks)]):
+            doc = documents.to_document(SetFunction(ground, values))
+            extra = []
+            for k in (0, 1, len(values) - 1):
+                for value in (7, -(2**70), "2/6", "x", 0.5, True, None, "1e100000"):
+                    d = copy.deepcopy(doc)
+                    d["values"][k]["value"] = value
+                    extra.append((f"value {k} is {value!r}", d))
+            d = copy.deepcopy(doc)
+            for e in d["values"]:
+                e["value"] = int(Fraction(e["value"]) * 12)
+            extra.append(("JSON integers", d))
+            self._check_edits(documents.setfn_from_doc, _slow_setfn_from_doc, doc, "values", "subset", "value", extra)
+
+    def test_menu_string_is_not_a_name_array(self, tmp_path, capsys):
+        # tuple("ab") == ("a", "b"), a canonical key: the string must not reach it
+        doc = documents.to_document(identity_cf(GroundSet(("a", "b"))))
+        doc["table"][-1]["menu"] = "ab"
+        with pytest.raises(DocumentError, match=r"^table\[3\]\.menu must be an array of names$"):
+            documents.from_document(doc)
+        path = tmp_path / "cf.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out == "input error: table[3].menu must be an array of names\n"
+
+
+def _table_objects(names, seed):
+    """A complementary table over ``names`` and set functions over it with
+    integer, perturbed, fractional and beyond-int64 values."""
+    f = random_complementary_cf(GroundSet(tuple(names)), random.Random(seed))
+    ground, m, rng = f.ground, f.ground.n_masks, random.Random(seed)
+    u = synthesize_setfn(f)
+    tiny = SetFunction(ground, [Fraction(2 * rng.randint(-3, 3) + 1, 2**70) for _ in range(m)])
+    assert tiny._denom == 2**70 and tiny._scaled_ints.dtype.kind == "i"  # int64 numerators
+    return [
+        f,
+        u,
+        perturb(u, default_epsilon(ground)),
+        SetFunction(ground, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m)]),
+        SetFunction(ground, [rng.choice((2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**70, 0)) for _ in range(m)]),
+        tiny,
+        SetFunction(ground, [Fraction(rng.randint(-(2**70), 2**70), 3) for _ in range(m)]),
+    ]
+
+
+ODD_NAMES = ("x10", "x2", "é", 'q"', "b\\s", "x1", "名前", "\x1f\n\t", "Z", "a b", "😀")
+
+
+class TestTableWriter:
+    """Choice tables and set functions are written straight from their
+    arrays; the walk of the ``to_document`` dict is the oracle."""
+
+    @pytest.mark.parametrize("n", range(12))
+    def test_dumps_matches_document_walk(self, n):
+        for obj in _table_objects([f"x{i}" for i in range(n)], n):
+            assert documents.dumps(obj) == documents._canonical_text(documents.to_document(obj)) + "\n"
+
+    @pytest.mark.parametrize("names", [ODD_NAMES[:7], ODD_NAMES, NASTY_NAMES])
+    def test_odd_names_and_ground_order(self, names):
+        for obj in _table_objects(names, len(names)):
+            doc = documents.to_document(obj)
+            assert documents.dumps(obj) == documents._canonical_text(doc) + "\n" == _indented(doc) + "\n"
+
+    def test_nested_text_is_reindented(self):
+        for obj in _table_objects(ODD_NAMES[:4], 4):
+            text, doc = documents._document_text(obj), documents.to_document(obj)
+            for wrap in (lambda d: {"document": d, "stamp": {"ok": True}}, lambda d: [[1, {"x": d}], "y"]):
+                assert documents._canonical_text(wrap(text)) == documents._canonical_text(wrap(doc))
+
+    @pytest.mark.parametrize("names", [[f"x{i}" for i in range(11)], ODD_NAMES])
+    def test_convert_outputs(self, names, tmp_path):
+        f = random_complementary_cf(GroundSet(tuple(names)), random.Random(5))
+        u = synthesize_setfn(f)
+        cf_path, sf_path, out_path = tmp_path / "cf.json", tmp_path / "sf.json", tmp_path / "out.json"
+        documents.dump_path(f, str(cf_path))
+        documents.dump_path(u, str(sf_path))
+        routes = [
+            ([cf_path, "--to", "setfn"], u),
+            ([cf_path, "--to", "setfn", "--perturb"], perturb(u, default_epsilon(f.ground))),
+            ([cf_path, "--to", "setfn", "--perturb", "--epsilon", "1/12"], perturb(u, Fraction(1, 12))),
+            ([sf_path, "--to", "cf"], induce_cf(u)),
+        ]
+        for argv, obj in routes:
+            text = documents._canonical_text(documents.to_document(obj))
+            for fmt in ("human", "json"):
+                for output in (False, True):
+                    args = ["convert", *map(str, argv), "--format", fmt] + (["-o", str(out_path)] if output else [])
+                    buf = io.StringIO()
+                    with contextlib.redirect_stdout(buf):
+                        assert main(args) == 0
+                    printed = buf.getvalue()
+                    if output:
+                        assert out_path.read_text(encoding="utf-8") == text + "\n"
+                        out_path.unlink()
+                    elif fmt == "json":
+                        stamp = json.loads(printed)["stamp"]
+                        envelope = {"document": documents.to_document(obj), "stamp": stamp}
+                        assert printed == documents._canonical_text(envelope) + "\n"
+                    else:
+                        assert printed[printed.index("{"):] == text + "\n"
+
+
+class TestPairLoaders:
+    """Arrays of name pairs are checked in one pass; the first bad entry is
+    still named, word for word."""
+
+    @staticmethod
+    def _docs():
+        lat = divisor_lattice(12)
+        lift = economical_lift(interior_cf(SetFamily.of(GroundSet(("a", "b", "c")), [("a", "b"), ("a", "c")])))
+        u = synthesize(get_fixture("divisors-12-lattice-cf"))
+        return [
+            (documents.to_document(Preorder.from_pairs(("a", "b", "c"), [("a", "b"), ("b", "c")])),
+             ("pairs",), "pairs[{}] must be a [y, x] array of names meaning y <= x", 2),
+            (documents.to_document(lat), ("leq",), "leq[{}] must be an [x, y] array of names meaning x <= y", 2),
+            (documents.to_document(lift), ("phi",), "phi[{}] must be a [pair, target] array of names", 2),
+            (documents.to_document(lift), ("order_pairs",),
+             "order_pairs[{}] must be a [y, x] array of names meaning y <= x", 2),
+            (documents.to_document(get_fixture("divisors-12-lattice-cf")), ("table",),
+             "table[{}] must be an [x, f(x)] array of names", 2),
+            (documents.to_document(get_fixture("divisors-12-lattice-cf")), ("lattice", "leq"),
+             "leq[{}] must be an [x, y] array of names meaning x <= y", 2),
+            (documents.to_document(u), ("values",), "values[{}] must be an [x, value] array", 1),
+        ]
+
+    def test_first_bad_entry_is_named(self):
+        for doc, path, message, names in self._docs():
+            for bad in ("ab", None, {"a": "b"}, ["a"], ["a", "b", "c"], [1, "a"], ["a", 1], [["a"], "b"]):
+                if names == 1 and isinstance(bad, list) and len(bad) == 2 and isinstance(bad[0], str):
+                    continue  # a valid [x, value] shape
+                for k in (0, 2):
+                    d = copy.deepcopy(doc)
+                    entries = d
+                    for key in path:
+                        entries = entries[key]
+                    entries[k] = bad
+                    entries[-1] = "late"  # a later bad entry is not the one named
+                    with pytest.raises(DocumentError) as exc:
+                        documents.from_document(d)
+                    assert str(exc.value) == message.format(k), (path, bad)
+
+    def test_string_subclass_names_still_load(self):
+        class Name(str):
+            pass
+
+        for doc, path, _, names in self._docs():
+            d = copy.deepcopy(doc)
+            entries = d
+            for key in path:
+                entries = entries[key]
+            entries[:] = [[Name(p[0]), *p[1:]] for p in entries]
+            assert documents.dumps(documents.from_document(d)) == documents.dumps(documents.from_document(doc))
