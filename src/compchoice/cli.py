@@ -400,13 +400,13 @@ def cmd_convert(args: argparse.Namespace, config: RunConfig) -> int:
             f"valid targets here: {', '.join(kinds) or 'none'}"
         )
         return EXIT_INPUT
-    if route is _route_cf_to_setfn and args.perturb and config.epsilon is not None:
-        n = obj.ground.n
-        if n * config.epsilon >= 1:  # a penalty of 1 or more can reorder integer values
-            _emit(f"error: --epsilon {config.epsilon} is too large at n = {n}: it must be below 1/{n}")
-            return EXIT_INPUT
     try:
         if route is _route_cf_to_setfn:
+            n = obj.ground.n
+            if args.perturb and config.epsilon is not None and n * config.epsilon >= 1:
+                # a penalty of 1 or more can reorder integer values
+                _emit(f"error: --epsilon {config.epsilon} is too large at n = {n}: it must be below 1/{n}")
+                return EXIT_INPUT
             out, checks = route(obj, config, do_perturb=args.perturb)
         else:
             out, checks = route(obj, config)
@@ -433,7 +433,7 @@ def cmd_convert(args: argparse.Namespace, config: RunConfig) -> int:
                 _emit(f"  [ok] {c['name']}")
     else:
         if config.format == "json":
-            _emit(documents._canonical_text({"document": documents._document_text(out), "stamp": stamp}))
+            _emit(documents._canonical_text({"document": documents.to_document(out), "stamp": stamp}))
         else:
             for c in checks:
                 _emit(f"  [ok] {c['name']}")

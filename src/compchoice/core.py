@@ -83,7 +83,7 @@ class GroundSet:
     @cached_property
     def _codec(self):
         """The document form of every subset (``documents._SubsetCodec``),
-        so that a table's load and its dump share one."""
+        kept so that tables written again over this ground set reuse it."""
         from .documents import _SubsetCodec  # documents imports this module
 
         return _SubsetCodec(self)

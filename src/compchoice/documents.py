@@ -5,8 +5,8 @@ masks, so files are independent of ground-set order. Dumps are canonical
 (fixed key order, sorted subset arrays, deterministic pair order); loading
 a canonical dump and dumping again reproduces it byte for byte. The text is
 what ``json.dumps(doc, ensure_ascii=False, indent=2)`` writes, produced by
-``_canonical_text``; ``_document_text`` writes the same text for choice
-tables and set functions straight from their arrays.
+``_canonical_text``; ``dumps`` writes the same text for choice tables and
+set functions straight from their arrays.
 """
 
 from __future__ import annotations
@@ -103,26 +103,28 @@ def _subset_key(s: Subset) -> list[str]:
 
 class _SubsetCodec:
     """Every subset of one ground set in its document form, for the tables
-    that list all 2^n of them. A ground set holds one (``GroundSet._codec``)
-    and each part is built on first use.
+    that list all 2^n of them. A ground set holds one
+    (``GroundSet._codec``), so the writer renders each subset's name array
+    once however often tables over that ground set are written.
 
-    ``names[m]`` is the alphabetically sorted name tuple of mask m and
-    ``texts[m]`` its array as a table entry prints it; ``order`` lists the
-    masks sorted by those tuples (the canonical entry order), and
-    ``mask_of`` and ``masks`` read name arrays back. In a rank mask, bit j
-    stands for the j-th name in alphabetical order, so the tuple and text of
-    a rank mask holding j as its top bit are those of the rank mask without
-    it, with that name added at the end.
+    ``order`` lists the masks sorted by their alphabetically sorted name
+    tuples (the canonical entry order), ``texts[m]`` is the name array of
+    mask m as a table entry prints it, and ``names()`` builds the name
+    tuples afresh on each call, for the dict form and for a load's
+    ``_SubsetReader``. In a rank mask, bit j stands for the j-th name in
+    alphabetical order, so the tuple and text of a rank mask holding j as
+    its top bit are those of the rank mask without it, with that name
+    added at the end.
     """
 
     def __init__(self, ground: GroundSet) -> None:
         self.ground = ground
         self._alphabetical = sorted(ground.elements)
         position = {x: j for j, x in enumerate(self._alphabetical)}
-        self._rank = [0]  # mask -> rank mask
+        rank = np.zeros(1, dtype=np.int64)  # mask -> rank mask
         for name in ground.elements:
-            bit = 1 << position[name]
-            self._rank += [r + bit for r in self._rank]
+            rank = np.concatenate((rank, rank + (1 << position[name])))
+        self._rank = rank
 
     @cached_property
     def order(self) -> list[int]:
@@ -134,12 +136,11 @@ class _SubsetCodec:
             order = np.concatenate((order[:1], order | 1 << self.ground.index(x), order[1:]))
         return order.tolist()
 
-    @cached_property
     def names(self) -> list[tuple[str, ...]]:
         by_rank: list[tuple[str, ...]] = [()]
         for x in self._alphabetical:
             by_rank += [t + (x,) for t in by_rank]
-        return [by_rank[r] for r in self._rank]
+        return [by_rank[r] for r in self._rank.tolist()]
 
     @cached_property
     def texts(self) -> list[str]:
@@ -149,11 +150,17 @@ class _SubsetCodec:
         for x in self._alphabetical:
             item = ",\n        " + encode_basestring(x)
             tails += [t + item for t in tails]
-        return ["[" + tails[r][1:] + "\n      ]" if r else "[]" for r in self._rank]
+        return ["[" + tails[r][1:] + "\n      ]" if r else "[]" for r in self._rank.tolist()]
 
-    @cached_property
-    def _masks(self) -> dict[tuple[str, ...], int]:
-        return dict(zip(self.names, range(len(self.names))))
+
+class _SubsetReader:
+    """The masks of name arrays, for one table load; its lookup of every
+    canonical array is freed with it when the load ends."""
+
+    def __init__(self, ground: GroundSet) -> None:
+        names = ground._codec.names()
+        self.ground = ground
+        self._masks = dict(zip(names, range(len(names))))
 
     def mask_of(self, val: Any, where: str) -> int:
         """The mask of a name array: a canonical one by lookup, any other
@@ -247,7 +254,7 @@ def family_from_doc(doc: Mapping) -> SetFamily:
 
 def cf_to_doc(f: ChoiceFunction) -> dict:
     codec, t = f.ground._codec, f._np_table.tolist()
-    names = codec.names
+    names = codec.names()
     return {
         "kind": "choice_function",
         "ground": list(f.ground.elements),
@@ -259,8 +266,8 @@ def cf_from_doc(doc: Mapping) -> ChoiceFunction:
     ground = _load_ground(doc)
     ensure_tractable(ground.n, what="choice table")
     entries = _expect_list(doc, "table")
-    codec = ground._codec
-    menus, choices = codec.masks(entries, "menu"), codec.masks(entries, "choice")
+    reader = _SubsetReader(ground)
+    menus, choices = reader.masks(entries, "menu"), reader.masks(entries, "choice")
     if menus is not None and choices is not None:
         table = np.zeros(ground.n_masks, dtype=np.int64)
         table[menus] = choices
@@ -273,8 +280,8 @@ def cf_from_doc(doc: Mapping) -> ChoiceFunction:
             _fail(f"table[{i}] must be an object with 'menu' and 'choice'")
         if "menu" not in entry or "choice" not in entry:
             _fail(f"table[{i}] must carry both 'menu' and 'choice'")
-        menu = codec.mask_of(entry["menu"], f"table[{i}].menu")
-        choice = codec.mask_of(entry["choice"], f"table[{i}].choice")
+        menu = reader.mask_of(entry["menu"], f"table[{i}].menu")
+        choice = reader.mask_of(entry["choice"], f"table[{i}].choice")
         if table[menu] is not None:
             _fail(f"table[{i}]: duplicate menu {Subset(ground, menu)!r}")
         if choice & ~menu:
@@ -332,7 +339,7 @@ def lattice_from_doc(doc: Mapping) -> FiniteLattice:
 
 def setfn_to_doc(u: SetFunction) -> dict:
     codec = u.ground._codec
-    names = codec.names
+    names = codec.names()
     values = u._scaled_ints.tolist() if u._denom == 1 else u.values
     return {
         "kind": "set_function",
@@ -347,8 +354,8 @@ def setfn_from_doc(doc: Mapping) -> SetFunction:
     ground = _load_ground(doc)
     ensure_tractable(ground.n, what="set-function table")
     entries = _expect_list(doc, "values")
-    codec = ground._codec
-    subsets = codec.masks(entries, "subset")
+    reader = _SubsetReader(ground)
+    subsets = reader.masks(entries, "subset")
     if subsets is not None:
         seen = np.bincount(subsets, minlength=ground.n_masks)
         raw = _bulk_values(entries) if seen[0] <= 1 and (seen[1:] == 1).all() else None
@@ -361,7 +368,7 @@ def setfn_from_doc(doc: Mapping) -> SetFunction:
     for i, entry in enumerate(entries):
         if not isinstance(entry, Mapping) or "subset" not in entry or "value" not in entry:
             _fail(f"values[{i}] must be an object with 'subset' and 'value'")
-        s = codec.mask_of(entry["subset"], f"values[{i}].subset")
+        s = reader.mask_of(entry["subset"], f"values[{i}].subset")
         if values[s] is not None:
             _fail(f"values[{i}]: duplicate subset {Subset(ground, s)!r}")
         values[s] = _load_value(entry["value"], f"values[{i}].value")
@@ -611,17 +618,8 @@ def _canonical_text(doc: Any) -> str:
     return "".join(out)
 
 
-class _Text(str):
-    """A value already written as ``_canonical_text`` writes it at the top
-    level. Written inside a document, each of its lines moves to the depth
-    there: encoded strings hold no raw newline, so every newline in it is
-    the writer's own."""
-
-
 def _write(o: Any, nl: str, out: Callable[[str], None]) -> None:
-    if type(o) is _Text:
-        out(o.replace("\n", nl))
-    elif isinstance(o, str):
+    if isinstance(o, str):
         out(encode_basestring(o))
     elif isinstance(o, (list, tuple)):
         if not o:
@@ -657,7 +655,7 @@ def _write(o: Any, nl: str, out: Callable[[str], None]) -> None:
 
 def _table_text(
     kind: str, ground: GroundSet, key: str, first: str, second: str, rows: list[tuple[str, str]]
-) -> _Text:
+) -> str:
     """The text of a table document whose entries are objects with the
     fields ``first`` and ``second``, whose texts ``rows`` gives."""
     head = f'{{\n      "{first}": '
@@ -665,17 +663,17 @@ def _table_text(
     out = ['{\n  "kind": "', kind, '",\n  "ground": ']
     _write(list(ground.elements), "\n  ", out.append)
     out += [f',\n  "{key}": [\n    ', ",\n    ".join([head + a + mid + b + "\n    }" for a, b in rows]), "\n  ]\n}"]
-    return _Text("".join(out))
+    return "".join(out)
 
 
-def _cf_text(f: ChoiceFunction) -> _Text:
+def _cf_text(f: ChoiceFunction) -> str:
     codec = f.ground._codec
     texts, t = codec.texts, f._np_table.tolist()
     rows = [(texts[m], texts[t[m]]) for m in codec.order]
     return _table_text("choice_function", f.ground, "table", "menu", "choice", rows)
 
 
-def _setfn_text(u: SetFunction) -> _Text:
+def _setfn_text(u: SetFunction) -> str:
     codec = u.ground._codec
     a, d = u._scaled_ints, u._denom
     if d == 1:
@@ -687,19 +685,15 @@ def _setfn_text(u: SetFunction) -> _Text:
     return _table_text("set_function", u.ground, "values", "subset", "value", rows)
 
 
-def _document_text(obj: Any) -> _Text:
-    """``_canonical_text(to_document(obj))``; a choice table or a set
-    function is written straight from its array, with no document built."""
-    if isinstance(obj, ChoiceFunction):
-        return _cf_text(obj)
-    if isinstance(obj, SetFunction):
-        return _setfn_text(obj)
-    return _Text(_canonical_text(to_document(obj)))
-
-
 def dumps(obj: Any) -> str:
-    """Canonical text form of an object or an already-built document dict."""
-    return (_canonical_text(obj) if isinstance(obj, dict) else _document_text(obj)) + "\n"
+    """Canonical text form of an object or an already-built document dict,
+    ``_canonical_text(to_document(obj))``; a choice table or a set function
+    is written straight from its array, with no document built."""
+    if isinstance(obj, ChoiceFunction):
+        return _cf_text(obj) + "\n"
+    if isinstance(obj, SetFunction):
+        return _setfn_text(obj) + "\n"
+    return _canonical_text(obj if isinstance(obj, dict) else to_document(obj)) + "\n"
 
 
 def loads(text: str, **kwargs) -> Any:

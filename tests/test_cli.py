@@ -248,9 +248,10 @@ class TestConvert:
         to_document = documents.to_document
         monkeypatch.setattr(documents, "to_document", lambda obj: calls.append(obj) or to_document(obj))
         extra = [str(tmp_path / a) if a.endswith(".json") else a for a in extra]
-        # a table is written straight from its array; any other output
-        # builds its document once
-        for target, built in (("setfn", []), ("family", ["SetFamily"])):
+        # a table is written straight from its array, except inside the
+        # json envelope; any other output builds its document once
+        envelope = extra == ["--format", "json"]
+        for target, built in (("setfn", ["SetFunction"] if envelope else []), ("family", ["SetFamily"])):
             calls.clear()
             code, out = run(capsys, "convert", src, "--to", target, *extra)
             assert code == 0

@@ -602,13 +602,23 @@ class TestCodecLoader:
     def test_codec_matches_subsets(self):
         ground = GroundSet(("x10", "x2", "b", "a", "x1"))
         codec = documents._SubsetCodec(ground)
-        assert codec.names == [tuple(Subset(ground, m).sorted_names()) for m in range(32)]
+        assert codec.names() == [tuple(Subset(ground, m).sorted_names()) for m in range(32)]
         assert codec.order == sorted(range(32), key=lambda m: Subset(ground, m).sorted_names())
         assert documents._SubsetCodec(GroundSet(())).order == [0]
         # held by each ground set object, as its name index is; nothing is
         # shared between equal ground sets
         assert ground._codec is ground._codec
         assert GroundSet(("b", "a"))._codec is not GroundSet(("b", "a"))._codec
+
+    def test_load_keeps_no_name_lookup(self):
+        # the lookup a load reads name arrays with is freed with the load;
+        # the ground set keeps only what the writer uses
+        f = interior_cf(SetFamily.of(GroundSet(("b", "a", "c")), [("a", "b"), ("b", "c")]))
+        for obj in (f, synthesize_setfn(f)):
+            loaded = documents.loads(documents.dumps(obj))
+            assert set(vars(loaded.ground._codec)) == {"ground", "_alphabetical", "_rank"}
+            documents.dumps(loaded)
+            assert set(vars(loaded.ground._codec)) == {"ground", "_alphabetical", "_rank", "order", "texts"}
 
     # whole-table edits: each must reach the oracle's object or its message
     @staticmethod
@@ -736,12 +746,6 @@ class TestTableWriter:
         for obj in _table_objects(names, len(names)):
             doc = documents.to_document(obj)
             assert documents.dumps(obj) == documents._canonical_text(doc) + "\n" == _indented(doc) + "\n"
-
-    def test_nested_text_is_reindented(self):
-        for obj in _table_objects(ODD_NAMES[:4], 4):
-            text, doc = documents._document_text(obj), documents.to_document(obj)
-            for wrap in (lambda d: {"document": d, "stamp": {"ok": True}}, lambda d: [[1, {"x": d}], "y"]):
-                assert documents._canonical_text(wrap(text)) == documents._canonical_text(wrap(doc))
 
     @pytest.mark.parametrize("names", [[f"x{i}" for i in range(11)], ODD_NAMES])
     def test_convert_outputs(self, names, tmp_path):
