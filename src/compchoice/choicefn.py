@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import GroundSet, Preorder, Subset, ensure_tractable
+from .core import POWERSET_ORDER, GroundSet, Order, Preorder, Subset, ensure_tractable
 from .errors import (
     ContractionError,
     GroundSetMismatchError,
@@ -225,7 +225,8 @@ def _first_violation(
     ``a`` and ``ta`` are a column of row masks and their values, ``b`` and
     ``tb`` every mask and value as a row, so ``t[a | b]`` and the like
     index the table elementwise. ``bad`` must return the full boolean
-    block, one cell per (A, B).
+    block, one cell per (A, B). On a lattice the masks are element
+    indices, and ``bad`` reads them through the lattice's ``Order``.
     """
     n_masks = len(t)
     a, ta = np.arange(n_masks, dtype=np.int64)[:, None], t[:, None]
@@ -279,11 +280,19 @@ def _first_true(rows: np.ndarray) -> int | None:
     return k if rows[k] else None
 
 
+def _inconsistent(o: Order) -> Callable[..., np.ndarray]:
+    """f(A) <= B <= A but f(B) != f(A), in the order ``o``."""
+    return lambda a, ta, b, tb, t: o.le(ta, b) & o.le(b, a) & (tb != ta)
+
+
+def _non_monotone(o: Order) -> Callable[..., np.ndarray]:
+    """A <= B but not f(A) <= f(B), in the order ``o``."""
+    return lambda a, ta, b, tb, t: o.le(a, b) & ~o.le(ta, tb)
+
+
 _BAD: dict[str, Callable[..., np.ndarray]] = {
-    # f(A) <= B <= A but f(B) != f(A)
-    "consistent": lambda a, ta, b, tb, t: ((ta | b) == b) & ((a | b) == a) & (tb != ta),
-    # A <= B but f(A) not within f(B)
-    "monotone": lambda a, ta, b, tb, t: ((a | b) == b) & ((ta | tb) != tb),
+    "consistent": _inconsistent(POWERSET_ORDER),
+    "monotone": _non_monotone(POWERSET_ORDER),
     # f(A | B) not within f(A) | f(B)
     "subadditive": lambda a, ta, b, tb, t: (t[a | b] & ~(ta | tb)) != 0,
     # f(A) | f(B) not within f(A | B)

@@ -42,8 +42,8 @@ from .errors import (
 from .latticecf import (
     LatticeCF,
     LatticeFunction,
+    _downset_maximizers,
     analyze_lattice,
-    argmax_downset,
     classify_lattice,
     induce_lattice_cf,
 )
@@ -354,20 +354,18 @@ def _route_lattice_cf_to_fn(f: LatticeCF, config: RunConfig) -> tuple[Any, list[
     u = synthesize_lattice(f)
     checks = [
         _check("synthesized function is supermodular", classify_lattice(u).is_supermodular),
-        _check("induced choice reproduces the input", induce_lattice_cf(u).table == f.table),
+        _check("induced choice reproduces the input", induce_lattice_cf(u) == f),
     ]
     return u, checks
 
 
 def _route_lattice_fn_to_cf(u: LatticeFunction, config: RunConfig) -> tuple[Any, list[dict]]:
     f = induce_lattice_cf(u)
-    ok = True
-    for x in u.lattice.elems:
-        args = argmax_downset(u, x)
-        fx = f.apply(x)
-        if fx not in args or any(not u.lattice.leq(fx, y) for y in args):
-            ok = False
-            break
+    # f(x) is the least maximizer below x exactly when it attains the
+    # maximum there and lies below every element that does
+    best, tied = _downset_maximizers(u)
+    table = f._np_table
+    ok = bool((u._scaled_ints[table] == best).all() and (u.lattice._below[:, table].T | ~tied).all())
     checks = [_check("choice is the least maximizer below every element", ok)]
     return f, checks
 
@@ -553,27 +551,6 @@ def _search_submodular_not_substitutable(
     return len(matches), matches
 
 
-def _search_order_violations(n: int, limit: int | None) -> tuple[int, list[dict]]:
-    ground = _search_ground(n)
-    found = 0
-    matches: list[dict] = []
-    for f in enumeration.iter_complementary_by_families(ground):
-        ok, wit = is_supermodular_order(order_from_setfn(synthesize(f)))
-        if ok:
-            continue
-        found += 1
-        if limit is None or len(matches) < limit:
-            matches.append(
-                {
-                    "choice_function": documents.cf_to_doc(f),
-                    "order_witness": [wit[0].sorted_names(), wit[1].sorted_names()],
-                }
-            )
-        if limit is not None and found >= limit:
-            break
-    return found, matches
-
-
 def _search_custom(n: int, predicate: str, limit: int | None) -> tuple[int, list[dict]]:
     terms = []
     for token in predicate.split("&"):
@@ -619,8 +596,6 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> int:
             )
             return EXIT_INPUT
         found, matches = _search_submodular_not_substitutable(n, vmax, limit)
-    elif args.pattern == "supermodular-order-violation":
-        found, matches = _search_order_violations(n, limit)
     elif args.pattern == "custom-predicate":
         if not args.predicate:
             _emit("error: --predicate is required with the custom-predicate pattern")
@@ -743,7 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=(
             "submodular-not-substitutable",
-            "supermodular-order-violation",
             "custom-predicate",
         ),
     )

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -305,6 +305,26 @@ def _close_reflexive_transitive(n: int, masks: list[int]) -> list[int]:
     return masks
 
 
+def _transitivity_leak(masks: Sequence[int]) -> tuple[int, int] | None:
+    """The first (i, j), by i and then j, with j below i (bit j of
+    ``masks[i]``) but the mask of j not inside that of i; None if none."""
+    for i, m in enumerate(masks):
+        probe = m
+        while probe:
+            j = (probe & -probe).bit_length() - 1
+            probe &= probe - 1
+            if masks[j] & ~m:
+                return i, j
+    return None
+
+
+def _pairs_below(names: Sequence[str], below: np.ndarray) -> list[tuple[str, str]]:
+    """Every (y, x) with ``below[x, y]``, that is y <= x, ordered by the
+    index of y and then of x."""
+    ys, xs = np.nonzero(below.T)
+    return [(names[y], names[x]) for y, x in zip(ys.tolist(), xs.tolist())]
+
+
 @dataclass(frozen=True)
 class Preorder:
     """A reflexive transitive relation on named points.
@@ -335,18 +355,12 @@ class Preorder:
                 raise ValueError(f"ideal mask for {carrier[i]!r} out of range")
             if not m >> i & 1:
                 raise ValueError(f"relation is not reflexive at {carrier[i]!r}")
-        if _closed:
-            return
-        for i in range(n):
-            probe = masks[i]
-            while probe:
-                j = (probe & -probe).bit_length() - 1
-                probe &= probe - 1
-                if masks[j] & ~masks[i]:
-                    raise ValueError(
-                        f"relation is not transitive: {carrier[j]!r} <= "
-                        f"{carrier[i]!r} but the ideal of {carrier[j]!r} leaks"
-                    )
+        if not _closed and (leak := _transitivity_leak(masks)):
+            i, j = leak
+            raise ValueError(
+                f"relation is not transitive: {carrier[j]!r} <= "
+                f"{carrier[i]!r} but the ideal of {carrier[j]!r} leaks"
+            )
 
     @classmethod
     def from_pairs(
@@ -395,14 +409,7 @@ class Preorder:
 
     def pairs(self) -> list[tuple[str, str]]:
         """All (y, x) pairs with y <= x, in carrier order."""
-        out = []
-        for x_i, mask in enumerate(self.ideal_masks):
-            probe = mask
-            while probe:
-                y_i = (probe & -probe).bit_length() - 1
-                probe &= probe - 1
-                out.append((self.carrier[y_i], self.carrier[x_i]))
-        return sorted(out, key=lambda p: (self._index[p[0]], self._index[p[1]]))
+        return _pairs_below(self.carrier, _bit_rows(self.ideal_masks, self.n))
 
     def all_ideal_masks(self) -> list[int]:
         """Masks of all down-closed subsets of the carrier."""
@@ -495,27 +502,36 @@ def _row_masks(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(r.tobytes(), "little") for r in np.packbits(rows, axis=1, bitorder="little")]
 
 
-@dataclass(frozen=True)
+class Order(NamedTuple):
+    """x <= y, the meet and the join of x and y, elementwise over arrays of
+    element indices that broadcast together: mask operations when the
+    elements are the subsets of a powerset, table lookups on a lattice."""
+
+    le: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    meet: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    join: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+# the subsets as masks: X <= Y iff (X | Y) == Y
+POWERSET_ORDER = Order(lambda x, y: (x | y) == y, np.bitwise_and, np.bitwise_or)
+
+
 class FiniteLattice:
     """An explicit finite lattice, given by its order.
 
-    ``down_masks[i]`` has bit j set iff elems[j] <= elems[i]. Construction
-    checks that the order is a partial order with a global bottom and top,
-    and derives the meet and join tables, which hold element indices. The
-    meet of i and j is the element whose down-set is ``down[i] & down[j]``
-    and the join the one whose up-set is ``up[i] & up[j]``: looking these
-    sets up among the down- and up-sets is itself the lattice check.
+    The order is one read-only boolean matrix, ``_below[i, j]`` iff
+    elems[j] <= elems[i]; ``down_masks`` reads its rows as bitmasks, built
+    when first read. Construction checks that the order is a partial order
+    with a global bottom and top, and derives the meet and join tables,
+    read-only int32 matrices of element indices. The meet of i and j is the
+    element whose down-set is ``down[i] & down[j]`` and the join the one
+    whose up-set is ``up[i] & up[j]``: looking these sets up among the
+    down- and up-sets is itself the lattice check. ``order`` reads the
+    three matrices elementwise.
     """
 
-    elems: tuple[str, ...]
-    down_masks: tuple[int, ...]
-    meet_table: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    join_table: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        elems, down = tuple(self.elems), tuple(self.down_masks)
-        object.__setattr__(self, "elems", elems)
-        object.__setattr__(self, "down_masks", down)
+    def __init__(self, elems: Sequence[str], down_masks: Sequence[int]) -> None:
+        elems, down = tuple(elems), tuple(down_masks)
         if len(set(elems)) != len(elems):
             raise ValueError("lattice element names must be distinct")
         n = len(elems)
@@ -531,14 +547,13 @@ class FiniteLattice:
         leq = _bit_rows(down, n)  # leq[i, j]: elems[j] <= elems[i]
         up = _row_masks(leq.T)
         by_down, by_up = dict(zip(down, range(n))), dict(zip(up, range(n)))
-        meet, join = [], []
-        for i in range(n):
-            meet.append(tuple([by_down.get(down[i] & d) for d in down]))
-            join.append(tuple([by_up.get(up[i] & u) for u in up]))
-            if None in meet[i] or None in join[i]:
-                j = next(j for j in range(n) if meet[i][j] is None or join[i][j] is None)
-                bound = "greatest lower" if meet[i][j] is None else "least upper"
-                raise NotALatticeError(f"{elems[i]!r} and {elems[j]!r} have no {bound} bound")
+        meet = np.array([[by_down.get(d & e, -1) for e in down] for d in down], dtype=np.int32)
+        join = np.array([[by_up.get(u & v, -1) for v in up] for u in up], dtype=np.int32)
+        missing = (meet < 0) | (join < 0)
+        if missing.any():
+            i, j = divmod(int(missing.argmax()), n)
+            bound = "greatest lower" if meet[i, j] < 0 else "least upper"
+            raise NotALatticeError(f"{elems[i]!r} and {elems[j]!r} have no {bound} bound")
         # (i, j) breaks the order when j <= i <= j, or when the down-set of
         # j <= i leaks out of that of i; the first such cell in row-major order
         f = leq.astype(np.float32)
@@ -556,10 +571,10 @@ class FiniteLattice:
             raise NotALatticeError("no global bottom element")
         if not tops.size:
             raise NotALatticeError("no global top element")
-        object.__setattr__(self, "meet_table", tuple(meet))
-        object.__setattr__(self, "join_table", tuple(join))
-        object.__setattr__(self, "_bottom_i", int(bottoms[0]))
-        object.__setattr__(self, "_top_i", int(tops[0]))
+        for table in (leq, meet, join):
+            table.flags.writeable = False
+        self.elems, self._below, self._meet, self._join = elems, leq, meet, join
+        self._bottom_i, self._top_i = int(bottoms[0]), int(tops[0])
 
     @classmethod
     def from_leq_pairs(
@@ -597,6 +612,15 @@ class FiniteLattice:
         return len(self.elems)
 
     @cached_property
+    def down_masks(self) -> tuple[int, ...]:
+        return tuple(_row_masks(self._below))
+
+    @cached_property
+    def order(self) -> Order:
+        below, meet, join = self._below, self._meet, self._join
+        return Order(lambda x, y: below[y, x], lambda x, y: meet[x, y], lambda x, y: join[x, y])
+
+    @cached_property
     def _index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.elems)}
 
@@ -607,13 +631,13 @@ class FiniteLattice:
             raise ValueError(f"unknown element {x!r}") from None
 
     def leq(self, x: str, y: str) -> bool:
-        return bool(self.down_masks[self.index(y)] >> self.index(x) & 1)
+        return bool(self._below[self.index(y), self.index(x)])
 
     def meet(self, x: str, y: str) -> str:
-        return self.elems[self.meet_table[self.index(x)][self.index(y)]]
+        return self.elems[self._meet[self.index(x), self.index(y)]]
 
     def join(self, x: str, y: str) -> str:
-        return self.elems[self.join_table[self.index(x)][self.index(y)]]
+        return self.elems[self._join[self.index(x), self.index(y)]]
 
     @property
     def bottom(self) -> str:
@@ -623,20 +647,19 @@ class FiniteLattice:
     def top(self) -> str:
         return self.elems[self._top_i]
 
-    def downset_mask(self, i: int) -> int:
-        return self.down_masks[i]
-
     def leq_pairs(self) -> list[tuple[str, str]]:
         """All (x, y) pairs with x <= y, ordered by element indices."""
-        out = []
-        for j in range(self.n):
-            probe = self.down_masks[j]
-            while probe:
-                i = (probe & -probe).bit_length() - 1
-                probe &= probe - 1
-                out.append((i, j))
-        out.sort()
-        return [(self.elems[i], self.elems[j]) for i, j in out]
+        return _pairs_below(self.elems, self._below)
+
+    @cached_property
+    def _key(self) -> tuple:
+        return self.elems, self._below.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FiniteLattice) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return f"FiniteLattice({len(self.elems)} elements)"
@@ -644,5 +667,4 @@ class FiniteLattice:
 
 def downset(lattice: FiniteLattice, x: str) -> tuple[str, ...]:
     """All elements below x, including the bottom and x itself."""
-    mask = lattice.down_masks[lattice.index(x)]
-    return tuple(e for i, e in enumerate(lattice.elems) if mask >> i & 1)
+    return tuple(lattice.elems[i] for i in np.flatnonzero(lattice._below[lattice.index(x)]))

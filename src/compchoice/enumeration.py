@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterator
 
 from .choicefn import ChoiceFunction
-from .core import GroundSet, Preorder, SetFamily
+from .core import GroundSet, Preorder, SetFamily, _transitivity_leak
 from .pretop import interior_cf
 
 # Bounds chosen so the double enumeration stays a desk-scale computation:
@@ -158,19 +158,8 @@ def iter_preorders(carrier: tuple[str, ...]) -> Iterator[Preorder]:
                 rows.append(m)
         row_options.append(rows)
     for masks in product(*row_options):
-        ok = True
-        for i in range(n):
-            probe = masks[i]
-            while probe:
-                j = (probe & -probe).bit_length() - 1
-                probe &= probe - 1
-                if masks[j] & ~masks[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield Preorder(carrier, masks)
+        if _transitivity_leak(masks) is None:
+            yield Preorder(carrier, masks, True)
 
 
 def random_family(

@@ -13,9 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from typing import Iterable, Mapping
+from functools import cached_property
+from itertools import combinations
+from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
+from .choicefn import _MAX_BLOCK_CELLS, _first_violation, _inconsistent, _non_monotone
 from .core import FiniteLattice, GroundSet, Subset
 from .errors import (
     ContractionError,
@@ -24,7 +28,7 @@ from .errors import (
     NoUniqueMinimizerError,
     NotComplementaryError,
 )
-from .supermod import ModularityClass, _as_fraction
+from .supermod import ModularityClass, _ExactValues, _modularity_breaks
 
 
 @dataclass(frozen=True)
@@ -53,29 +57,34 @@ class LatticeAxiomReport:
         }
 
 
-@dataclass(frozen=True)
 class LatticeCF:
-    """A contracting map on a finite lattice, as an index table."""
+    """A contracting map on a finite lattice, as an index table.
 
-    lattice: FiniteLattice
-    table: tuple[int, ...]
+    The one stored table is ``_np_table``, a read-only int64 array whose
+    entry i is the index of the image of element i; ``table`` reads it as
+    a tuple of ints, built when first read.
+    """
 
-    def __post_init__(self) -> None:
-        table = tuple(self.table)
-        object.__setattr__(self, "table", table)
-        lat = self.lattice
-        if len(table) != lat.n:
+    def __init__(self, lattice: FiniteLattice, table: Sequence[int] | np.ndarray) -> None:
+        lat = lattice
+        t = np.array(table)  # a copy: no caller's array is kept
+        if len(t) != lat.n:
             raise ValueError("one image per lattice element required")
-        for i, fi in enumerate(table):
-            if not 0 <= fi < lat.n:
+        if t.dtype.kind not in "iu":
+            raise ValueError("table entries must be element indices")
+        inside = (t >= 0) & (t < lat.n)
+        bad = ~inside | ~lat._below[np.arange(lat.n), np.where(inside, t, 0)]
+        if bad.any():
+            i = int(bad.argmax())
+            if not inside[i]:
                 raise ValueError("table entry out of range")
-            if not lat.down_masks[i] >> fi & 1:
-                raise ContractionError(
-                    f"f({lat.elems[i]!r}) = {lat.elems[fi]!r} does not lie below it"
-                )
-        bottom = lat._bottom_i
-        if table[bottom] != bottom:
+            raise ContractionError(
+                f"f({lat.elems[i]!r}) = {lat.elems[t[i]]!r} does not lie below it"
+            )
+        if t[lat._bottom_i] != lat._bottom_i:
             raise InternalInvariantError("contraction must fix the bottom")
+        self.lattice, self._np_table = lat, t.astype(np.int64, copy=False)
+        self._np_table.flags.writeable = False
 
     @classmethod
     def from_mapping(cls, lattice: FiniteLattice, mapping: Mapping[str, str]) -> LatticeCF:
@@ -84,72 +93,67 @@ class LatticeCF:
             if name not in mapping:
                 raise ValueError(f"no image assigned for {name!r}")
             table.append(lattice.index(mapping[name]))
-        return cls(lattice, tuple(table))
+        return cls(lattice, table)
+
+    @cached_property
+    def table(self) -> tuple[int, ...]:
+        return tuple(self._np_table.tolist())
 
     def apply(self, x: str) -> str:
-        return self.lattice.elems[self.table[self.lattice.index(x)]]
+        return self.lattice.elems[self._np_table[self.lattice.index(x)]]
 
     __call__ = apply
 
+    def _key(self) -> tuple:
+        return self.lattice, self._np_table.tobytes()
 
-@dataclass(frozen=True)
-class LatticeFunction:
-    """An exact-rational-valued function on a finite lattice."""
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LatticeCF) and self._key() == other._key()
 
-    lattice: FiniteLattice
-    values: tuple[Fraction, ...]
+    def __hash__(self) -> int:
+        return hash(self._key())
 
-    def __post_init__(self) -> None:
-        values = tuple(_as_fraction(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) != self.lattice.n:
-            raise ValueError("one value per lattice element required")
+    def __repr__(self) -> str:
+        return f"LatticeCF(n={self.lattice.n})"
+
+
+class LatticeFunction(_ExactValues):
+    """An exact-rational-valued function on a finite lattice, one value per
+    element, kept as ``SetFunction`` keeps its values."""
+
+    def __init__(self, lattice: FiniteLattice, values: Sequence) -> None:
+        self.lattice = lattice
+        super().__init__(values, lattice.n, "lattice element")
 
     def value(self, x: str) -> Fraction:
-        return self.values[self.lattice.index(x)]
+        return Fraction(int(self._scaled_ints[self.lattice.index(x)]), self._denom)
+
+    def _key(self) -> tuple:
+        return self.lattice, self._denom, tuple(self._scaled_ints.tolist())
+
+    def __repr__(self) -> str:
+        return f"LatticeFunction(n={self.lattice.n})"
+
+
+def _pair(lat: FiniteLattice, hit: tuple[int, int] | None) -> tuple[str, str] | None:
+    return hit and (lat.elems[hit[0]], lat.elems[hit[1]])
 
 
 def analyze_lattice(f: LatticeCF) -> LatticeAxiomReport:
     """Sweep consistency (between f(x) and x the value may not move) and
-    monotonicity over all element pairs; complementary is their conjunction."""
+    monotonicity over all element pairs with ``_first_violation``, each to
+    its first violation in row-major order; complementary is their
+    conjunction."""
     lat = f.lattice
-    n = lat.n
     witnesses: dict[str, LatticeWitness] = {}
-    consistent = True
-    for x in range(n):
-        fx = f.table[x]
-        if not consistent:
-            break
-        for y in range(n):
-            # f(x) <= y <= x forces f(y) = f(x)
-            if lat.down_masks[y] >> fx & 1 and lat.down_masks[x] >> y & 1:
-                if f.table[y] != fx:
-                    witnesses["consistent"] = LatticeWitness(
-                        "pair", (lat.elems[x], lat.elems[y])
-                    )
-                    consistent = False
-                    break
-    monotone = True
-    for x in range(n):
-        if not monotone:
-            break
-        for y in range(n):
-            if lat.down_masks[y] >> x & 1:  # x <= y
-                if not lat.down_masks[f.table[y]] >> f.table[x] & 1:
-                    witnesses["monotone"] = LatticeWitness(
-                        "pair", (lat.elems[x], lat.elems[y])
-                    )
-                    monotone = False
-                    break
+    for axiom, bad in (("consistent", _inconsistent), ("monotone", _non_monotone)):
+        if pair := _pair(lat, _first_violation(f._np_table, bad(lat.order))):
+            witnesses[axiom] = LatticeWitness("pair", pair)
+    consistent, monotone = "consistent" not in witnesses, "monotone" not in witnesses
     complementary = consistent and monotone
     if not complementary:
         witnesses["complementary"] = witnesses.get("consistent") or witnesses["monotone"]
-    return LatticeAxiomReport(
-        consistent=consistent,
-        monotone=monotone,
-        complementary=complementary,
-        witnesses=witnesses,
-    )
+    return LatticeAxiomReport(consistent, monotone, complementary, witnesses)
 
 
 def _require_lattice_complementary(f: LatticeCF, op: str) -> LatticeAxiomReport:
@@ -165,15 +169,18 @@ def _require_lattice_complementary(f: LatticeCF, op: str) -> LatticeAxiomReport:
     return rep
 
 
-def _missing_join(lat: FiniteLattice, members: list[int]) -> tuple[str, str] | None:
-    """The first pair of members, in the caller's order, whose join is not
-    a member; None when the members are closed under pairwise joins."""
-    member_set = set(members)
-    for i in members:
-        for j in members:
-            if lat.join_table[i][j] not in member_set:
-                return lat.elems[i], lat.elems[j]
-    return None
+def _join_gaps(lat: FiniteLattice, inside: np.ndarray) -> np.ndarray:
+    """Cell (..., i, j): i and j lie in the family ``inside`` (a boolean
+    row per family) but their join does not."""
+    return inside[..., :, None] & inside[..., None, :] & ~inside[..., lat._join]
+
+
+def _missing_join(lat: FiniteLattice, inside: np.ndarray) -> tuple[str, str] | None:
+    """The first pair of members, by index, whose join is not a member;
+    None when the family ``inside`` is closed under pairwise joins."""
+    gaps = _join_gaps(lat, inside)
+    k = int(gaps.argmax())
+    return _pair(lat, divmod(k, lat.n)) if gaps.flat[k] else None
 
 
 def fix_set(f: LatticeCF) -> tuple[str, ...]:
@@ -184,17 +191,15 @@ def fix_set(f: LatticeCF) -> tuple[str, ...]:
     ``InternalInvariantError``.
     """
     _require_lattice_complementary(f, "fix_set")
-    lat = f.lattice
-    fixed = [i for i in range(lat.n) if f.table[i] == i]
-    image = sorted(set(f.table))
-    if fixed != image:
+    lat, t = f.lattice, f._np_table
+    fixed = t == np.arange(lat.n)
+    if (fixed != (np.bincount(t, minlength=lat.n) > 0)).any():
         raise InternalInvariantError("fixed elements differ from the image")
-    if lat._bottom_i not in fixed:
+    if not fixed[lat._bottom_i]:
         raise InternalInvariantError("bottom is not fixed")
-    missing = _missing_join(lat, fixed)
-    if missing:
+    if missing := _missing_join(lat, fixed):
         raise InternalInvariantError(f"fixed elements are not join-closed at {missing!r}")
-    return tuple(lat.elems[i] for i in fixed)
+    return tuple(lat.elems[i] for i in np.flatnonzero(fixed))
 
 
 def cf_from_fix(lattice: FiniteLattice, fixed: Iterable[str]) -> LatticeCF:
@@ -203,53 +208,39 @@ def cf_from_fix(lattice: FiniteLattice, fixed: Iterable[str]) -> LatticeCF:
 
     The family must contain the bottom (the empty join) and be closed under
     pairwise joins, which on a finite lattice is all that closure under
-    arbitrary joins can mean.
+    arbitrary joins can mean. That join is then the greatest fixed element
+    below the point, the one whose down-set is largest.
     """
     lat = lattice
-    idxs = sorted(lat.index(x) for x in fixed)
-    if len(set(idxs)) != len(idxs):
+    idxs = [lat.index(x) for x in fixed]
+    inside = np.zeros(lat.n, dtype=bool)
+    inside[idxs] = True
+    if np.count_nonzero(inside) != len(idxs):
         raise ValueError("fixed elements must be distinct")
-    if lat._bottom_i not in idxs:
+    if not inside[lat._bottom_i]:
         raise JoinClosureError(
             f"fixed family must contain the bottom {lat.bottom!r} (the empty join)"
         )
-    missing = _missing_join(lat, idxs)
-    if missing:
-        x, y = missing
+    if missing := _missing_join(lat, inside):
         raise JoinClosureError(
-            f"fixed family is not join-closed: join of {x!r} and {y!r} is missing",
+            f"fixed family is not join-closed: join of {missing[0]!r} and {missing[1]!r} is missing",
             pair=missing,
         )
-    table = []
-    for x in range(lat.n):
-        below = [z for z in idxs if lat.down_masks[x] >> z & 1]
-        table.append(reduce(lambda a, b: lat.join_table[a][b], below))
-    return LatticeCF(lat, tuple(table))
+    below = lat._below
+    return LatticeCF(lat, np.where(below & inside, below.sum(axis=1), -1).argmax(axis=1))
 
 
 def classify_lattice(u: LatticeFunction) -> ModularityClass:
-    """Pair sweep of the modularity inequalities with lattice meet and join."""
+    """Pair sweep of the modularity inequalities with lattice meet and join,
+    each side to its first violating pair in row-major element order."""
     lat = u.lattice
-    vals = u.values
-    first_super = None
-    first_sub = None
-    for x in range(lat.n):
-        for y in range(lat.n):
-            lhs = vals[x] + vals[y]
-            rhs = vals[lat.meet_table[x][y]] + vals[lat.join_table[x][y]]
-            if first_super is None and lhs > rhs:
-                first_super = (lat.elems[x], lat.elems[y])
-            if first_sub is None and lhs < rhs:
-                first_sub = (lat.elems[x], lat.elems[y])
-            if first_super is not None and first_sub is not None:
-                break
-        else:
-            continue
-        break
+    w_super, w_sub = (
+        _pair(lat, _first_violation(u._scaled_ints, bad)) for bad in _modularity_breaks(lat.order)
+    )
     return ModularityClass(
-        kind=ModularityClass.kind_of(first_super is None, first_sub is None),
-        not_supermodular=first_super,
-        not_submodular=first_sub,
+        kind=ModularityClass.kind_of(w_super is None, w_sub is None),
+        not_supermodular=w_super,
+        not_submodular=w_sub,
     )
 
 
@@ -258,14 +249,16 @@ def synthesize(f: LatticeCF) -> LatticeFunction:
     supermodular function whose induced choice function is f again."""
     _require_lattice_complementary(f, "synthesize")
     lat = f.lattice
-    fixed_mask = 0
-    for i in range(lat.n):
-        if f.table[i] == i:
-            fixed_mask |= 1 << i
-    return LatticeFunction(
-        lat,
-        tuple(Fraction((lat.down_masks[x] & fixed_mask).bit_count()) for x in range(lat.n)),
-    )
+    fixed = f._np_table == np.arange(lat.n)
+    return LatticeFunction(lat, np.count_nonzero(lat._below & fixed, axis=1))
+
+
+def _downset_maximizers(u: LatticeFunction) -> tuple[np.ndarray, np.ndarray]:
+    """``best[x]``, the maximum of u over the down-set of x, and the boolean
+    matrix whose row x marks the elements of that down-set attaining it."""
+    vals, below = u._scaled_ints, u.lattice._below
+    best = np.where(below, vals, vals.min()).max(axis=1)
+    return best, below & (vals == best[:, None])
 
 
 def induce_lattice_cf(u: LatticeFunction) -> LatticeCF:
@@ -273,53 +266,40 @@ def induce_lattice_cf(u: LatticeFunction) -> LatticeCF:
 
     Computed as the meet of all maximizers and verified to be a maximizer;
     supermodular u guarantees this, anything else may fail and raises
-    ``NoUniqueMinimizerError`` with an incomparable maximizer pair.
+    ``NoUniqueMinimizerError`` with an incomparable maximizer pair. The
+    meet of a row's maximizers is their common lower bound with the
+    largest down-set; one matrix product counts, for each z, the
+    maximizers lying above z.
     """
-    lat = u.lattice
-    table = []
-    for x in range(lat.n):
-        best, args = _maximizers_below(u, x)
-        candidate = reduce(lambda a, b: lat.meet_table[a][b], args)
-        if u.values[candidate] != best:
-            # a chain of maximizers would make its least member the meet, so
-            # a failure always exhibits an incomparable pair
-            pair = next(
-                (a, b)
-                for i, a in enumerate(args)
-                for b in args[i + 1 :]
-                if not lat.down_masks[b] >> a & 1 and not lat.down_masks[a] >> b & 1
-            )
-            raise NoUniqueMinimizerError(
-                f"element {lat.elems[x]!r} has no least maximizer below it; "
-                f"{lat.elems[pair[0]]!r} and {lat.elems[pair[1]]!r} both attain "
-                f"the maximum but their meet does not",
-                where=lat.elems[x],
-                pair=(lat.elems[pair[0]], lat.elems[pair[1]]),
-            )
-        table.append(candidate)
-    return LatticeCF(lat, tuple(table))
+    lat, vals = u.lattice, u._scaled_ints
+    below = lat._below
+    best, tied = _downset_maximizers(u)
+    above = tied.astype(np.float32) @ below.astype(np.float32)
+    common = above == tied.sum(axis=1, keepdims=True)
+    meet = np.where(common, below.sum(axis=1), -1).argmax(axis=1)
+    failed = vals[meet] != best
+    if failed.any():
+        x = int(failed.argmax())
+        # a chain of maximizers would make its least member the meet, so
+        # a failure always exhibits an incomparable pair
+        pair = next(
+            (lat.elems[a], lat.elems[b])
+            for a, b in combinations(np.flatnonzero(tied[x]).tolist(), 2)
+            if not below[b, a] and not below[a, b]
+        )
+        raise NoUniqueMinimizerError(
+            f"element {lat.elems[x]!r} has no least maximizer below it; "
+            f"{pair[0]!r} and {pair[1]!r} both attain the maximum but their meet does not",
+            where=lat.elems[x],
+            pair=pair,
+        )
+    return LatticeCF(lat, meet)
 
 
 def argmax_downset(u: LatticeFunction, x: str) -> tuple[str, ...]:
     """All maximizers of u over the downset of x, in element order."""
-    lat = u.lattice
-    return tuple(lat.elems[y] for y in _maximizers_below(u, lat.index(x))[1])
-
-
-def _maximizers_below(u: LatticeFunction, x: int) -> tuple[Fraction, list[int]]:
-    """The maximum of u over the downset of element index x, and the
-    indices attaining it, ascending."""
-    vals = u.values
-    best, args = None, []
-    probe = u.lattice.down_masks[x]
-    while probe:
-        y = (probe & -probe).bit_length() - 1
-        probe &= probe - 1
-        if best is None or vals[y] > best:
-            best, args = vals[y], [y]
-        elif vals[y] == best:
-            args.append(y)
-    return best, args
+    tied = _downset_maximizers(u)[1][u.lattice.index(x)]
+    return tuple(u.lattice.elems[y] for y in np.flatnonzero(tied))
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +376,18 @@ def standard_lattice_suite() -> list[tuple[str, FiniteLattice]]:
 def all_join_closed_families(lattice: FiniteLattice) -> Iterable[tuple[str, ...]]:
     """Every bottom-containing, pairwise-join-closed family of lattice
     elements, in deterministic order. Exponential in the lattice size; meant
-    for the small verification lattices."""
+    for the small verification lattices. Each pick of the non-bottom
+    elements is a boolean row, and a block of rows is checked at once."""
     lat = lattice
-    others = [i for i in range(lat.n) if i != lat._bottom_i]
+    others = np.flatnonzero(np.arange(lat.n) != lat._bottom_i)
     if len(others) > 22:
         raise ValueError("lattice too large for exhaustive family enumeration")
-    for pick in range(1 << len(others)):
-        members = [lat._bottom_i] + [
-            others[k] for k in range(len(others)) if pick >> k & 1
-        ]
-        if _missing_join(lat, members) is None:
-            yield tuple(lat.elems[i] for i in sorted(members))
+    rows = max(1, _MAX_BLOCK_CELLS // lat.n**2)
+    bits = np.arange(len(others))
+    for start in range(0, 1 << len(others), rows):
+        picks = np.arange(start, min(start + rows, 1 << len(others)))
+        inside = np.zeros((len(picks), lat.n), dtype=bool)
+        inside[:, lat._bottom_i] = True
+        inside[:, others] = picks[:, None] >> bits & 1
+        for row in inside[~_join_gaps(lat, inside).any(axis=(1, 2))]:
+            yield tuple(lat.elems[i] for i in np.flatnonzero(row))

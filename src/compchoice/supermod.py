@@ -33,7 +33,7 @@ import numpy as np
 
 from . import choicefn
 from .choicefn import ChoiceFunction, _first_violation, _submask_reduce
-from .core import GroundSet, SetFamily, Subset, SubsetWeakOrder, ensure_tractable
+from .core import POWERSET_ORDER, GroundSet, Order, SetFamily, Subset, SubsetWeakOrder, ensure_tractable
 from .errors import (
     GroundSetMismatchError,
     InternalInvariantError,
@@ -61,37 +61,64 @@ def _exact_array(vals: Sequence[int] | np.ndarray) -> np.ndarray:
     return a.astype(np.int64 if big < _INT64_GUARD else object)
 
 
-class SetFunction:
-    """An exact-rational-valued function on the full powerset, kept as
-    ``_scaled_ints / _denom``: one read-only ``_exact_array`` over the least
-    common denominator. ``values``, as Fractions, is built when first read."""
+class _ExactValues:
+    """Exact rational values, one per element of a finite domain, kept as
+    ``_scaled_ints / _denom``: one read-only ``_exact_array`` of integer
+    numerators over the least common denominator, in lowest terms.
+    ``values``, as Fractions, is built when first read."""
 
-    def __init__(self, ground: GroundSet, values: Sequence) -> None:
-        ensure_tractable(ground.n, what="set-function table")
+    def __init__(self, values: Sequence, size: int, what: str) -> None:
+        """Keep Python ints as they are and anything else through Fractions."""
         values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
-        if len(values) != ground.n_masks:
-            raise ValueError("one value per subset required")
+        if len(values) != size:
+            raise ValueError(f"one value per {what} required")
         ints, denom = values, 1
         if not set(map(type, values)) <= {int}:  # Python ints skip Fractions
             fracs = tuple(v if type(v) is Fraction else _as_fraction(v) for v in values)
             denom = math.lcm(*{v.denominator for v in fracs})
             ints = [v.numerator * (denom // v.denominator) for v in fracs]
             self.__dict__["values"] = fracs
-        self._init(ground, ints, denom)
+        self._init(ints, denom)
 
-    def _init(self, ground: GroundSet, ints: Sequence[int], denom: int) -> SetFunction:
+    def _init(self, ints: Sequence[int], denom: int):
         """Store integer numerators over ``denom`` > 0, in lowest terms."""
         a = _exact_array(ints)
         g = math.gcd(denom, int(np.gcd.reduce(a))) if denom > 1 else 1
         if g > 1:
             a, denom = _exact_array(a // g), denom // g
         a.flags.writeable = False
-        self.ground, self._scaled_ints, self._denom = ground, a, denom
+        self._scaled_ints, self._denom = a, denom
         return self
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        ints, d = self._scaled_ints.tolist(), self._denom
+        return tuple(map(Fraction, ints) if d == 1 else (Fraction(x, d) for x in ints))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class SetFunction(_ExactValues):
+    """An exact-rational-valued function on the full powerset, one value
+    per mask, kept as ``_ExactValues``."""
+
+    def __init__(self, ground: GroundSet, values: Sequence) -> None:
+        ensure_tractable(ground.n, what="set-function table")
+        self.ground = ground
+        super().__init__(values, ground.n_masks, "subset")
 
     @classmethod
     def _of(cls, ground: GroundSet, ints: np.ndarray, denom: int) -> SetFunction:
-        return cls.__new__(cls)._init(ground, ints, denom)
+        self = cls.__new__(cls)
+        self.ground = ground
+        return self._init(ints, denom)
+
+    def _key(self) -> tuple:
+        return self.ground, self._denom, tuple(self._scaled_ints.tolist())
 
     @classmethod
     def tabulate(cls, ground: GroundSet, rule: Callable[[int], Fraction | int]) -> SetFunction:
@@ -121,11 +148,6 @@ class SetFunction:
                 values[m] = _as_fraction(default)
         return cls(ground, tuple(values))
 
-    @cached_property
-    def values(self) -> tuple[Fraction, ...]:
-        ints, d = self._scaled_ints.tolist(), self._denom
-        return tuple(map(Fraction, ints) if d == 1 else (Fraction(x, d) for x in ints))
-
     def value(self, s: Subset | int) -> Fraction:
         mask = s.bits if isinstance(s, Subset) else s
         return Fraction(int(self._scaled_ints[mask]), self._denom)
@@ -146,15 +168,6 @@ class SetFunction:
         """Nondecreasing under inclusion (checked one added element at a time)."""
         steps = (self._scaled_ints.reshape(-1, 2, 1 << i) for i in range(self.ground.n))
         return all((v[:, 0] <= v[:, 1]).all() for v in steps)
-
-    def _key(self) -> tuple:
-        return self.ground, self._denom, tuple(self._scaled_ints.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SetFunction) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"SetFunction(n={self.ground.n})"
@@ -214,11 +227,16 @@ class ModularityClass:
         return "neither"
 
 
-# (A, B) breaks supermodularity, and submodularity, of the table t
-_BREAKS = (
-    lambda a, va, b, vb, t: va + vb > t[a & b] + t[a | b],
-    lambda a, va, b, vb, t: va + vb < t[a & b] + t[a | b],
-)
+def _modularity_breaks(o: Order) -> tuple[Callable[..., np.ndarray], ...]:
+    """(A, B) breaks supermodularity, and submodularity, of the table t
+    in the order ``o``."""
+    return (
+        lambda a, va, b, vb, t: va + vb > t[o.meet(a, b)] + t[o.join(a, b)],
+        lambda a, va, b, vb, t: va + vb < t[o.meet(a, b)] + t[o.join(a, b)],
+    )
+
+
+_BREAKS = _modularity_breaks(POWERSET_ORDER)
 
 
 def _exchange_flags(t: np.ndarray, n: int) -> tuple[bool, bool]:

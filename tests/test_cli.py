@@ -449,14 +449,12 @@ class TestSearch:
         )
         assert code == 2
 
-    def test_order_violations_absent(self, capsys):
-        code, out = run(
-            capsys,
-            "search", "--pattern", "supermodular-order-violation",
-            "--n", "3", "--format", "json",
-        )
-        payload = json.loads(out)
-        assert payload["found"] == 0
+    def test_order_violation_pattern_is_gone(self, capsys):
+        # synthesize(f) always orders subsets supermodularly (the library
+        # test of that theorem is in test_supermod), so no such search exists
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", "--pattern", "supermodular-order-violation", "--n", "3"])
+        assert exc.value.code == 2
 
     def test_custom_predicate(self, capsys):
         code, out = run(

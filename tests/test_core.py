@@ -302,8 +302,8 @@ class TestFiniteLattice:
         for lat in lattices:
             for i in range(lat.n):
                 for j in range(lat.n):
-                    assert lat.meet_table[i][j] == bound(lat, i, j, True)
-                    assert lat.join_table[i][j] == bound(lat, i, j, False)
+                    assert lat._meet[i, j] == bound(lat, i, j, True)
+                    assert lat._join[i, j] == bound(lat, i, j, False)
             assert lat.down_masks[lat._bottom_i] == 1 << lat._bottom_i
             assert lat.down_masks[lat._top_i] == (1 << lat.n) - 1
 
@@ -334,7 +334,7 @@ class TestFiniteLattice:
         lat = divisor_lattice(12)
         twin = FiniteLattice(lat.elems, lat.down_masks)
         assert twin == lat and hash(twin) == hash(lat)
-        assert twin.meet_table == lat.meet_table and twin.join_table == lat.join_table
+        assert np.array_equal(twin._meet, lat._meet) and np.array_equal(twin._join, lat._join)
 
     def test_chain(self):
         lat = chain_lattice(4)

@@ -28,7 +28,7 @@ from compchoice import (
     random_supermodular,
     synthesize,
 )
-from compchoice.enumeration import iter_complementary_by_families
+from compchoice.enumeration import iter_complementary_by_families, random_complementary_cf
 from compchoice.errors import NoUniqueMinimizerError, PreconditionError
 from compchoice.fixtures import submodular_counterexample
 from compchoice import supermod
@@ -481,6 +481,15 @@ class TestOrderRoute:
         for f in iter_complementary_by_families(abc):
             ok, _ = is_supermodular_order(order_from_setfn(synthesize(f)))
             assert ok
+
+    def test_synthesized_order_is_supermodular_at_every_size(self):
+        # synthesize(f) is supermodular, and a supermodular u orders the
+        # subsets supermodularly, so no complementary f breaks its order
+        rng = random.Random(23)
+        fs = [f for n in range(4) for f in iter_complementary_by_families(ground(n))]
+        fs += [random_complementary_cf(ground(n), rng) for n in (6, 7, 8) for _ in range(6)]
+        for f in fs:
+            assert is_supermodular_order(order_from_setfn(synthesize(f))) == (True, None)
 
     def test_counterexample_order_fails_with_witness(self, abc):
         w = order_from_setfn(submodular_counterexample())
