@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -223,10 +223,12 @@ def _first_violation(
 
     ``t`` holds one value per mask (int64, or object for exact big ints);
     ``a`` and ``ta`` are a column of row masks and their values, ``b`` and
-    ``tb`` every mask and value as a row, so ``t[a | b]`` and the like
-    index the table elementwise. ``bad`` must return the full boolean
-    block, one cell per (A, B). On a lattice the masks are element
-    indices, and ``bad`` reads them through the lattice's ``Order``.
+    ``tb`` every mask and value as a row, so ``_at(t, a | b)`` and the
+    like index the table elementwise; read through ``_at``, a predicate
+    also broadcasts over a leading stack axis (``decide_stack``). ``bad``
+    must return the full boolean block, one cell per (A, B). On a lattice
+    the masks are element indices, and ``bad`` reads them through the
+    lattice's ``Order``.
     """
     n_masks = len(t)
     a, ta = np.arange(n_masks, dtype=np.int64)[:, None], t[:, None]
@@ -290,17 +292,23 @@ def _non_monotone(o: Order) -> Callable[..., np.ndarray]:
     return lambda a, ta, b, tb, t: o.le(a, b) & ~o.le(ta, tb)
 
 
+def _at(t: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The table t at ``masks``, in each row when t is a stack of tables.
+    ``t[..., masks]`` reads both, but costs a 1-D table twice as much."""
+    return t[masks] if t.ndim == 1 else t[:, masks]
+
+
 _BAD: dict[str, Callable[..., np.ndarray]] = {
     "consistent": _inconsistent(POWERSET_ORDER),
     "monotone": _non_monotone(POWERSET_ORDER),
     # f(A | B) not within f(A) | f(B)
-    "subadditive": lambda a, ta, b, tb, t: (t[a | b] & ~(ta | tb)) != 0,
+    "subadditive": lambda a, ta, b, tb, t: (_at(t, a | b) & ~(ta | tb)) != 0,
     # f(A) | f(B) not within f(A | B)
-    "superadditive": lambda a, ta, b, tb, t: ((ta | tb) & ~t[a | b]) != 0,
+    "superadditive": lambda a, ta, b, tb, t: ((ta | tb) & ~_at(t, a | b)) != 0,
     # A <= B but f(B) & A not within f(A)
     "substitutable_heredity": lambda a, ta, b, tb, t: ((a | b) == b) & ((tb & a & ~ta) != 0),
     # f(A & B) != f(A) & f(B)
-    "meet": lambda a, ta, b, tb, t: t[a & b] != (ta & tb),
+    "meet": lambda a, ta, b, tb, t: _at(t, a & b) != (ta & tb),
 }
 
 
@@ -470,6 +478,59 @@ _DECIDERS: dict[str, Callable[[AxiomReport], Witness | None]] = {
     "complementary": lambda rep: rep.witness("consistent") or rep.witness("monotone"),
     "completely_complementary": _complete_complementarity_witness,
 }
+
+
+# ---------------------------------------------------------------------------
+# deciding a stack of tables
+#
+# The exhaustive searches and the enumeration filter decide thousands of
+# tiny tables at once. Over an (R, 2^n) stack each pair axiom is decided by
+# its definitional grid, the ``_BAD`` predicate over every (A, B) of every
+# row, and the composite axioms are composed as ``_DECIDERS`` composes them.
+# The grids hold R·4^n cells: the stack suits tables whose whole grid fits
+# one sweep block, where ``_pair_witness`` decides by the sweep too.
+
+_PARTS = {
+    "complementary": ("consistent", "monotone"),
+    "completely_complementary": ("consistent", "full_menu", "meet"),
+}
+
+
+def _stack_holds(t: np.ndarray, name: str) -> np.ndarray:
+    """Per row of the stack ``t``: whether the named axiom holds, where the
+    name is idempotency, a ``_BAD`` pair axiom, or ``full_menu``, f(X) = X."""
+    if name == "idempotent":
+        return (np.take_along_axis(t, t, axis=1) == t).all(axis=1)
+    if name == "full_menu":
+        return t[:, -1] == t.shape[1] - 1
+    masks = np.arange(t.shape[1], dtype=t.dtype)
+    return ~_BAD[name](masks[:, None], t[:, :, None], masks, t[:, None, :], t).any(axis=(1, 2))
+
+
+def decide_stack(tables: np.ndarray, axioms: Iterable[str]) -> dict[str, np.ndarray]:
+    """Decide the named axioms on every row of an (R, 2^n) stack of
+    contracting tables: one bool array of R entries per name, True where
+    the axiom holds, as ``analyze(f).flag(name)`` is for the table f of
+    that row. Only the named axioms and their parts are decided."""
+    t = np.asarray(tables)
+    # the least signed type that holds every mask keeps the grids' cells small
+    t = t.astype(np.min_scalar_type(-t.shape[1]))
+    decided: dict[str, np.ndarray] = {}
+
+    def holds(name: str) -> np.ndarray:
+        if name not in decided:
+            parts = _PARTS.get(name)
+            decided[name] = (
+                np.logical_and.reduce([holds(p) for p in parts]) if parts else _stack_holds(t, name)
+            )
+        return decided[name]
+
+    out = {}
+    for axiom in axioms:
+        if axiom not in AXIOMS:
+            raise ValueError(f"unknown axiom {axiom!r}")
+        out[axiom] = holds(axiom)
+    return out
 
 
 def witness_violates(f: ChoiceFunction, axiom: str, witness: Witness) -> bool:

@@ -13,12 +13,13 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import documents, enumeration, fixtures
-from .choicefn import AXIOMS, ChoiceFunction, Witness, analyze, ideal_cf
+from .choicefn import _BAD, AXIOMS, ChoiceFunction, Witness, analyze, decide_stack, ideal_cf
 from .core import (
     FiniteLattice,
     GroundSet,
@@ -60,6 +61,7 @@ from .pretop import (
 from .supermod import (
     ModularityClass,
     SetFunction,
+    _exchange_flags,
     _subset_max,
     classify,
     default_epsilon,
@@ -489,9 +491,10 @@ def cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
 # search
 
 
-# The submodular-not-substitutable scan decodes the candidate value tables,
-# (value_max + 1)^(2^n) rows of int16, in chunks, so that a --limit search
-# stops early; requests above _SEARCH_MAX_ROWS rows in all are refused.
+# The submodular-not-substitutable scan walks the candidate value tables,
+# (value_max + 1)^(2^n) of them, in chunks of at most _SEARCH_CHUNK, so that
+# a --limit search stops early; requests above _SEARCH_MAX_ROWS candidates
+# in all are refused.
 _SEARCH_MAX_ROWS = 1 << 21
 _SEARCH_CHUNK = 1 << 14
 
@@ -506,39 +509,44 @@ def _search_submodular_not_substitutable(
     ground = _search_ground(n)
     n_masks = 1 << n
     base = vmax + 1
-    total = base**n_masks
-    # heredity fails at (A, B) when A lies within B and the choice from B
-    # keeps an element of A that the choice from A drops
-    pairs = [(a, b) for a in range(n_masks) for b in range(n_masks) if a & ~b == 0]
+    # Candidate r takes the value (r // base**m) % base at mask m. A chunk
+    # is menu-major, one column per candidate, in ascending r: the menus
+    # below `low` run through one product made once, menu `low` through
+    # `step` values from the chunk's start d, and the menus above hold the
+    # chunk's digits. With a large base, `step` keeps chunks near full.
+    low = 0
+    while low + 1 < n_masks and base ** (low + 1) <= _SEARCH_CHUNK:
+        low += 1
+    width = base**low
+    step = min(base, _SEARCH_CHUNK // width)
+    table = np.empty((n_masks, width * step), dtype=np.int16)
+    table[: low + 1] = np.indices((step,) + (base,) * low).reshape(low + 1, -1)[::-1]
+    offsets = table[low].copy()
+    masks = np.arange(n_masks, dtype=np.int16)
     matches: list[dict] = []
-    for start in range(0, total, _SEARCH_CHUNK):
-        idx = np.arange(start, min(start + _SEARCH_CHUNK, total), dtype=np.int64)
-        table = np.stack(
-            [(idx // base**m) % base for m in range(n_masks)], axis=1
-        ).astype(np.int16)
-        viol = np.zeros(len(idx), dtype=bool)
-        for a in range(n_masks):
-            for b in range(a + 1, n_masks):
-                lo, hi = a & b, a | b
-                if lo == a or lo == b:  # comparable menus force equality
-                    continue
-                viol |= table[:, a] + table[:, b] < table[:, lo] + table[:, hi]
-        rows = table[~viol]
+    for *high, d in product(*[range(base)] * (n_masks - low - 1), range(0, base, step)):
+        table[low] = offsets + d
+        table[low + 1 :] = np.array(high[::-1], dtype=np.int16)[:, None]
+        chunk = table[:, : width * min(step, base - d)]
+        rows = chunk[:, _exchange_flags(chunk, n)[1]].T
         best, induced = _subset_max(rows)
         has_least = (np.take_along_axis(rows, induced, -1) == best).all(axis=1)
-        # per row, the first failing pair in ascending (A, B) order, or
-        # len(pairs) when heredity holds
-        first = np.full(len(rows), len(pairs))
-        for k in reversed(range(len(pairs))):
-            a, b = pairs[k]
-            first[(induced[:, b] & a & ~induced[:, a]) != 0] = k
-        for t in np.flatnonzero(has_least & (first < len(pairs))):
-            u = SetFunction(ground, rows[t])
-            a, b = pairs[first[t]]
+        rows, induced = rows[has_least], induced[has_least]
+        # heredity fails at (A, B) when A lies within B and the choice from B
+        # keeps an element of A that the choice from A drops; the first
+        # such pair is the first true cell of the row-major grid, here
+        # menu-major with the candidates last
+        ind = induced.T.astype(np.int16)
+        bad = _BAD["substitutable_heredity"](
+            masks[:, None, None], ind[:, None], masks[:, None], ind, ind
+        ).reshape(n_masks * n_masks, len(rows))
+        first = bad.argmax(axis=0)
+        for t in np.flatnonzero(bad.any(axis=0)):
+            a, b = divmod(int(first[t]), n_masks)
             offending = int(induced[t, b]) & a & ~int(induced[t, a])
             matches.append(
                 {
-                    "set_function": documents.setfn_to_doc(u),
+                    "set_function": documents.setfn_to_doc(SetFunction(ground, rows[t])),
                     "heredity_witness": {
                         "A": Subset(ground, a).sorted_names(),
                         "B": Subset(ground, b).sorted_names(),
@@ -564,17 +572,13 @@ def _search_custom(n: int, predicate: str, limit: int | None) -> tuple[int, list
             )
         terms.append((name, negate))
     ground = _search_ground(n)
-    found = 0
-    matches: list[dict] = []
-    for f in enumeration.iter_contracting_tables(ground):
-        rep = f.analysis
-        if all(rep.flag(name) != negate for name, negate in terms):
-            found += 1
-            if limit is None or len(matches) < limit:
-                matches.append({"choice_function": documents.cf_to_doc(f)})
-            if limit is not None and found >= limit:
-                break
-    return found, matches
+    tables = enumeration.contracting_tables(ground)
+    holds = decide_stack(tables, {name for name, _ in terms})
+    hit = np.logical_and.reduce([holds[name] != negate for name, negate in terms])
+    rows = np.flatnonzero(hit)[:limit]
+    return len(rows), [
+        {"choice_function": documents.cf_to_doc(ChoiceFunction(ground, tables[r]))} for r in rows
+    ]
 
 
 def cmd_search(args: argparse.Namespace, config: RunConfig) -> int:

@@ -1,11 +1,11 @@
 """Exhaustive and randomized generators for small instances.
 
 Two independent enumerations of the complementary choice functions exist:
-filtering every contracting table through the analyzer, and walking every
-union-closed family containing the empty set (the two are in bijection via
-open sets / interior). Running both and comparing counts is the keystone
-cross-check of the verification harness: a bug in either direction breaks
-the agreement.
+filtering every contracting table by the axioms' definitional grids, and
+walking every union-closed family containing the empty set (the two are in
+bijection via open sets / interior). Running both and comparing counts is
+the keystone cross-check of the verification harness: a bug in either
+direction breaks the agreement.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ import random
 from itertools import product
 from typing import Iterator
 
-from .choicefn import ChoiceFunction
+import numpy as np
+
+from .choicefn import ChoiceFunction, decide_stack
 from .core import GroundSet, Preorder, SetFamily, _transitivity_leak
 from .pretop import interior_cf
 
@@ -103,25 +105,37 @@ def iter_union_closed_families(ground: GroundSet) -> Iterator[SetFamily]:
         yield SetFamily(ground, frozenset(masks))
 
 
-def iter_contracting_tables(ground: GroundSet) -> Iterator[ChoiceFunction]:
-    """Every contracting table over the ground set, in deterministic order."""
+def contracting_tables(ground: GroundSet) -> np.ndarray:
+    """Every contracting table over the ground set as one (R, 2^n) int64
+    array, a row per table, in ``itertools.product`` order over the menus'
+    submask lists: the last menu's choice varies fastest."""
     if ground.n > MAX_FILTER_N:
         raise ValueError(
             f"contracting-table enumeration supports n <= {MAX_FILTER_N}, "
             f"got {ground.n}"
         )
-    options = [
-        [s for s in range(m + 1) if s & m == s] for m in range(ground.n_masks)
-    ]
-    for table in product(*options):
+    masks = np.arange(ground.n_masks, dtype=np.int64)
+    options = [masks[masks & ~m == 0] for m in range(ground.n_masks)]
+    return np.stack(np.meshgrid(*options, indexing="ij"), axis=-1).reshape(-1, ground.n_masks)
+
+
+def iter_contracting_tables(ground: GroundSet) -> Iterator[ChoiceFunction]:
+    """Every contracting table over the ground set, in the row order of
+    ``contracting_tables``."""
+    for table in contracting_tables(ground):
         yield ChoiceFunction(ground, table)
 
 
+def _complementary_rows(ground: GroundSet) -> np.ndarray:
+    tables = contracting_tables(ground)
+    return tables[decide_stack(tables, ["complementary"])["complementary"]]
+
+
 def iter_complementary_by_filter(ground: GroundSet) -> Iterator[ChoiceFunction]:
-    """Route one: filter every contracting table through the analyzer."""
-    for f in iter_contracting_tables(ground):
-        if f.analysis.complementary:
-            yield f
+    """Route one: decide every contracting table at once, by the axioms'
+    definitional grids over the stack, and keep the complementary ones."""
+    for table in _complementary_rows(ground):
+        yield ChoiceFunction(ground, table)
 
 
 def iter_complementary_by_families(ground: GroundSet) -> Iterator[ChoiceFunction]:
@@ -140,7 +154,7 @@ def dual_enumeration_counts(n: int) -> tuple[int | None, int]:
     family_count = count_union_closed_families(n)
     filter_count = None
     if n <= MAX_FILTER_N:
-        filter_count = sum(1 for _ in iter_complementary_by_filter(ground))
+        filter_count = len(_complementary_rows(ground))
     return filter_count, family_count
 
 

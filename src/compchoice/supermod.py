@@ -239,22 +239,29 @@ def _modularity_breaks(o: Order) -> tuple[Callable[..., np.ndarray], ...]:
 _BREAKS = _modularity_breaks(POWERSET_ORDER)
 
 
-def _exchange_flags(t: np.ndarray, n: int) -> tuple[bool, bool]:
-    """(is_supermodular, is_submodular): for each i < j, one array holds
+def _exchange_flags(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(is_supermodular, is_submodular) of the table t, or per column of a
+    menu-major (2^n, R) stack of tables: for each i < j, one array holds
     u(S+i+j) - u(S+i) - u(S+j) + u(S) over all S avoiding both, exact in
     int64 when |t| < 2^61; it is >= 0 if supermodular, <= 0 if submodular."""
-    is_super = is_sub = True
+    rest = t.shape[1:]
+    # one table's flags are numpy bools, which bool() reads at no numpy
+    # call's cost; a stack's are arrays
+    is_super, is_sub = np.ones(rest, dtype=bool)[()], np.ones(rest, dtype=bool)[()]
+    some = np.any if rest else bool
     for i in range(n - 1):
-        v = t.reshape(-1, 2, 1 << i)
+        v = t.reshape(-1, 2, 1 << i, *rest)
         # the gain of adding i, per mask without bit i; higher bits move down one
-        gain = (v[:, 1] - v[:, 0]).reshape(-1)
+        gain = (v[:, 1] - v[:, 0]).reshape(-1, *rest)
         for j in range(i, n - 1):
-            g = gain.reshape(-1, 2, 1 << j)
+            g = gain.reshape(-1, 2, 1 << j, *rest)
             second = g[:, 1] - g[:, 0]
-            is_super = is_super and bool(second.min() >= 0)
-            is_sub = is_sub and bool(second.max() <= 0)
-            if not (is_super or is_sub):
-                return False, False
+            if some(is_super):
+                is_super &= second.min(axis=(0, 1)) >= 0
+            if some(is_sub):
+                is_sub &= second.max(axis=(0, 1)) <= 0
+            if not (some(is_super) or some(is_sub)):
+                return is_super, is_sub
     return is_super, is_sub
 
 

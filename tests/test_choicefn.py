@@ -1,9 +1,11 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 import compchoice.choicefn as choicefn
+from compchoice.choicefn import AXIOMS
 from compchoice import (
     ChoiceFunction,
     GroundSet,
@@ -420,9 +422,62 @@ class TestSweepsOnlyPlaceWitnesses:
         assert induce_cf(synthesize(f)).table == f.table
         assert interior_cf(decompose(f)).table == f.table
         assert economical_lift(f).verification_failures(f) == []
+        # the search decides its whole stack of tables at once, by the
+        # definitional grids: it must decide these two axioms and no other
+        decided = recording_stack_decisions(monkeypatch)
         assert main(["search", "--pattern", "custom-predicate", "--n", "3",
                      "--predicate", "monotone&!consistent"]) == 0
         assert capsys.readouterr().out.endswith("n=3: 155 match(es)\n")
+        assert sorted(decided) == ["consistent", "monotone"]
+
+
+def recording_stack_decisions(monkeypatch):
+    """Record the name of every axiom (or part) decided over a stack."""
+    decided = []
+    holds = choicefn._stack_holds
+
+    def recording(t, name):
+        decided.append(name)
+        return holds(t, name)
+
+    monkeypatch.setattr(choicefn, "_stack_holds", recording)
+    return decided
+
+
+class TestDecideStack:
+    """``decide_stack`` decides a stack of tables at once, by the ``_BAD``
+    grids; ``analyze`` decides one table by the O(n·2^n) criteria."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_matches_analyze_on_every_contracting_table(self, n):
+        g = GroundSet(tuple("abc"[:n]))
+        tables = np.array(list(all_contracting_tables(n)), dtype=np.int64)
+        got = choicefn.decide_stack(tables, AXIOMS)
+        assert list(got) == list(AXIOMS)
+        want = [analyze(ChoiceFunction(g, t)).flags() for t in tables]
+        for axiom in AXIOMS:
+            assert got[axiom].tolist() == [w[axiom] for w in want], axiom
+        if n == 3:
+            # every axiom both holds and fails somewhere among the tables
+            assert all(0 < got[a].sum() < len(tables) for a in AXIOMS)
+
+    @pytest.mark.parametrize("axioms, parts", [
+        (["monotone"], ["monotone"]),
+        (["idempotent", "subadditive"], ["idempotent", "subadditive"]),
+        (["complementary"], ["consistent", "monotone"]),
+        (["completely_complementary"], ["consistent", "full_menu", "meet"]),
+        (["complementary", "consistent", "completely_complementary"],
+         ["consistent", "full_menu", "meet", "monotone"]),
+    ])
+    def test_decides_only_the_named_axioms_and_their_parts(self, monkeypatch, axioms, parts):
+        decided = recording_stack_decisions(monkeypatch)
+        tables = np.array(list(all_contracting_tables(2)), dtype=np.int64)
+        assert list(choicefn.decide_stack(tables, axioms)) == axioms
+        assert sorted(decided) == parts
+
+    def test_unknown_axiom_rejected(self):
+        with pytest.raises(ValueError, match="unknown axiom 'meet'"):
+            choicefn.decide_stack(np.zeros((1, 2), dtype=np.int64), ["meet"])
 
 
 class TestConstructors:

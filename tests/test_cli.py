@@ -1,6 +1,8 @@
 import contextlib
 import copy
+import functools
 import io
+import itertools
 import json
 import random
 import time
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compchoice import GroundSet, cli, documents, is_supermodular_order, order_from_setfn, synthesize
+from compchoice import ChoiceFunction, GroundSet, cli, documents, is_supermodular_order, order_from_setfn, synthesize
 from compchoice.cli import main
 from compchoice.enumeration import random_complementary_cf
 from compchoice.fixtures import get_fixture, get_fixture_document, submodular_counterexample
@@ -405,6 +407,50 @@ class TestEnumerate:
         assert code == 2
 
 
+# the benchmark's four predicates, then negations, aliases and spacing
+CUSTOM_PREDICATES = [
+    "monotone&!consistent",
+    "consistent&!monotone",
+    "complementary&!completely_complementary",
+    "subadditive&!superadditive",
+    "!idempotent & monotone",
+    "heredity&! complementary",
+    "substitutable&!completely-complementary&superadditive",
+    "!consistent&!monotone&!idempotent",
+]
+
+
+@functools.lru_cache(maxsize=None)
+def contracting_functions(n):
+    """Every contracting table over the search's ground set, as choice
+    functions in product order, enumerated independently of the package."""
+    g = cli._search_ground(n)
+    options = [[s for s in range(m + 1) if s & m == s] for m in range(1 << n)]
+    return [ChoiceFunction(g, t) for t in itertools.product(*options)]
+
+
+def custom_search_oracle(n, predicate, limit):
+    """The custom-predicate search one table at a time: each table is
+    analyzed on its own, the loop that the stack decision replaced."""
+    terms = []
+    for token in predicate.split("&"):
+        token = token.strip()
+        negate = token.startswith("!")
+        name = token[1:].strip() if negate else token
+        terms.append((cli._EXPECT_ALIASES.get(name, name.replace("-", "_")), negate))
+    found = 0
+    matches = []
+    for f in contracting_functions(n):
+        rep = f.analysis
+        if all(rep.flag(name) != negate for name, negate in terms):
+            found += 1
+            if limit is None or len(matches) < limit:
+                matches.append({"choice_function": documents.cf_to_doc(f)})
+            if limit is not None and found >= limit:
+                break
+    return found, matches
+
+
 class TestSearch:
     def test_counterexample_found_at_n3(self, capsys):
         code, out = run(
@@ -471,6 +517,12 @@ class TestSearch:
             f = documents.from_document(match["choice_function"])
             rep = analyze(f)
             assert rep.monotone and not rep.consistent
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("predicate", CUSTOM_PREDICATES)
+    def test_custom_predicate_matches_the_per_table_loop(self, n, predicate):
+        for limit in (1, 7, 20, None):
+            assert cli._search_custom(n, predicate, limit) == custom_search_oracle(n, predicate, limit)
 
     def test_custom_predicate_bad_axiom_exits_two(self, capsys):
         code, _ = run(

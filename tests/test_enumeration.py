@@ -1,9 +1,12 @@
 import random
+from itertools import product
 
+import numpy as np
 import pytest
 
-from compchoice import GroundSet, is_union_closed
+from compchoice import ChoiceFunction, GroundSet, analyze, is_union_closed
 from compchoice.enumeration import (
+    contracting_tables,
     count_union_closed_families,
     dual_enumeration_counts,
     iter_complementary_by_families,
@@ -85,6 +88,17 @@ class TestContractingTables:
         big = GroundSet(tuple(f"x{i}" for i in range(4)))
         with pytest.raises(ValueError):
             next(iter_contracting_tables(big))
+        with pytest.raises(ValueError):
+            contracting_tables(big)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_stack_rows_in_product_order(self, n):
+        g = GroundSet(tuple(f"x{i}" for i in range(n)))
+        options = [[s for s in range(m + 1) if s & m == s] for m in range(1 << n)]
+        tables = contracting_tables(g)
+        assert tables.dtype == np.int64
+        assert tables.tolist() == [list(t) for t in product(*options)]
+        assert [f.table for f in iter_contracting_tables(g)] == [tuple(t) for t in product(*options)]
 
 
 class TestDualEnumeration:
@@ -93,6 +107,14 @@ class TestDualEnumeration:
         via_families = {f.table for f in iter_complementary_by_families(ab)}
         assert via_filter == via_families
         assert len(via_filter) == 7
+
+    def test_filter_route_keeps_the_analyzed_complementary_tables(self, abc):
+        # the route decides the whole stack at once; the analyzer, one table
+        # at a time, must keep the same tables in the same order
+        options = [[s for s in range(m + 1) if s & m == s] for m in range(8)]
+        want = [t for t in product(*options) if analyze(ChoiceFunction(abc, t)).complementary]
+        assert [f.table for f in iter_complementary_by_filter(abc)] == want
+        assert len(want) == 61
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_counts_agree(self, n):

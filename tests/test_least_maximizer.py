@@ -210,8 +210,23 @@ def reference_search(n, vmax):
     return hits
 
 
+def recording_survivors(monkeypatch):
+    """Record, per chunk of the scan, how many candidates pass the
+    exchange test."""
+    survivors = []
+    flags = cli._exchange_flags
+
+    def recording(t, n):
+        out = flags(t, n)
+        survivors.append(int(out[1].sum()))
+        return out
+
+    monkeypatch.setattr(cli, "_exchange_flags", recording)
+    return survivors
+
+
 class TestSearch:
-    @pytest.mark.parametrize("n, vmax", [(1, 4), (2, 4), (3, 2)])
+    @pytest.mark.parametrize("n, vmax", [(1, 0), (2, 0), (3, 0), (1, 4), (2, 4), (2, 5), (3, 1), (3, 2)])
     def test_found_and_matches_unchanged(self, n, vmax):
         want = reference_search(n, vmax)
         found, matches = cli._search_submodular_not_substitutable(n, vmax, None)
@@ -229,11 +244,47 @@ class TestSearch:
         # recorded from the per-candidate walk
         assert cli._search_submodular_not_substitutable(3, 4, None)[0] == 174
 
+    @pytest.mark.parametrize("predicate, count", [
+        ("monotone&!consistent", 155),
+        ("consistent&!monotone", 185),
+        ("complementary&!completely_complementary", 32),
+        ("subadditive&!superadditive", 208),
+    ])
+    def test_recorded_custom_counts_at_n3(self, predicate, count):
+        # recorded from the per-table loop, as the benchmark's digests were
+        found, matches = cli._search_custom(3, predicate, None)
+        assert found == len(matches) == count
+
     @pytest.mark.parametrize("limit", [None, 1, 9])
     def test_chunk_boundaries_change_nothing(self, monkeypatch, limit):
-        whole = cli._search_submodular_not_substitutable(3, 2, limit)
-        monkeypatch.setattr(cli, "_SEARCH_CHUNK", 7)
-        assert cli._search_submodular_not_substitutable(3, 2, limit) == whole
+        whole = cli._search_submodular_not_substitutable(3, 4, limit)
+        assert whole[0] == (174 if limit is None else limit)
+        # 125 candidates a chunk: the three low menus vary, the five high
+        # ones are fixed, and some fixed digits leave no candidate standing
+        monkeypatch.setattr(cli, "_SEARCH_CHUNK", 125)
+        survivors = recording_survivors(monkeypatch)
+        assert cli._search_submodular_not_substitutable(3, 4, limit) == whole
+        assert 0 in survivors
+
+    @pytest.mark.parametrize("chunk, chunks", [(1, 1296), (5, 432), (7, 216), (36, 36)])
+    def test_tiny_chunks_scan_every_candidate_once(self, monkeypatch, chunk, chunks):
+        # below 6 candidates a chunk holds values of the first menu alone:
+        # 5 of them and then 1, under each setting of the other three
+        monkeypatch.setattr(cli, "_SEARCH_CHUNK", chunk)
+        survivors = recording_survivors(monkeypatch)
+        assert cli._search_submodular_not_substitutable(2, 5, None) == (0, [])
+        assert len(survivors) == chunks
+        assert sum(survivors) == sum(
+            all(v[a] + v[b] >= v[a & b] + v[a | b] for a in range(4) for b in range(4))
+            for v in product(range(6), repeat=4)
+        )
+
+    def test_chunks_without_survivors_at_value_max_5(self, monkeypatch):
+        survivors = recording_survivors(monkeypatch)
+        found, matches = cli._search_submodular_not_substitutable(3, 5, None)
+        # recorded from the per-candidate decode
+        assert found == len(matches) == 1476
+        assert 0 in survivors
 
 
 class TestConvertChecks:

@@ -32,7 +32,7 @@ from compchoice.enumeration import iter_complementary_by_families, random_comple
 from compchoice.errors import NoUniqueMinimizerError, PreconditionError
 from compchoice.fixtures import submodular_counterexample
 from compchoice import supermod
-from compchoice.supermod import _INT64_GUARD, SetFunction
+from compchoice.supermod import _INT64_GUARD, ModularityClass, SetFunction
 
 
 def reference_classify_flags(u):
@@ -299,6 +299,30 @@ class TestExchangeCriterion:
             checked += 1
             big += u._scaled_ints.dtype == object
         assert checked > 6600 and big == 12
+
+    def test_per_column_flags_match_classify(self):
+        # the searches read the test per column of a menu-major stack, in
+        # int16; each column must get classify's flags, at every n the
+        # exchange steps cover, including n = 1 with no steps at all
+        rng = random.Random(42)
+        kinds = set()
+        for n in range(1, 7):
+            g = ground(n)
+            sup = [random_supermodular(g, rng) for _ in range(6)]
+            fns = sup + [u.scale(-1) for u in sup] + [random_modular(g, rng) for _ in range(3)]
+            fns += [SetFunction(g, [rng.randint(-3, 3) for _ in range(1 << n)]) for _ in range(12)]
+            near = [list(u._scaled_ints.tolist()) for u in sup]
+            for vals in near:
+                vals[rng.randrange(1 << n)] += rng.choice((-1, 1))
+            fns += [SetFunction(g, vals) for vals in near]
+            stack = np.stack([u._scaled_ints for u in fns], axis=1)
+            want = [(classify(u).is_supermodular, classify(u).is_submodular) for u in fns]
+            for dtype in (np.int64, np.int16):
+                is_super, is_sub = supermod._exchange_flags(stack.astype(dtype), n)
+                assert is_super.shape == is_sub.shape == (len(fns),)
+                assert list(zip(is_super.tolist(), is_sub.tolist())) == want
+            kinds |= {ModularityClass.kind_of(*w) for w in want}
+        assert kinds == {"supermodular", "submodular", "modular", "neither"}
 
     def test_small_tables_decided_by_one_sweep_block(self, monkeypatch):
         calls = []
