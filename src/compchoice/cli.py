@@ -151,10 +151,10 @@ def _inspect(obj: Any) -> tuple[str, dict[str, bool], dict[str, Any]]:
         return "choice_function", rep.flags(), dict(rep.witnesses)
     if isinstance(obj, SetFunction):
         cls = classify(obj)
-        # a supermodular u orders subsets supermodularly, so it needs no sweep:
-        # if u(A & B) < u(A), then u(B) - u(A | B) <= u(A & B) - u(A) < 0
-        sweep = not cls.is_supermodular
-        order_ok, order_wit = is_supermodular_order(order_from_setfn(obj)) if sweep else (True, None)
+        # a supermodular u orders subsets supermodularly, so its order needs
+        # no decision: if u(A & B) < u(A), then u(B) - u(A | B) <= u(A & B) - u(A) < 0
+        order_ok, order_wit = (
+            (True, None) if cls.is_supermodular else is_supermodular_order(order_from_setfn(obj)))
         flags, wits = _modularity(cls)
         flags.update(monotone=obj.is_monotone(), supermodular_order=order_ok)
         if order_wit:

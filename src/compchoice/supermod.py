@@ -404,19 +404,133 @@ def order_from_setfn(u: SetFunction) -> SubsetWeakOrder:
     return SubsetWeakOrder(u.ground, ranks.reshape(-1))
 
 
+# The order decision visits the disjoint pairs (C, D) in chunks of at most
+# this many cells, and a cell costs at most ``_ORDER_CELL_BYTES`` at the
+# peak of a chunk: two gathered int64 ranks, the rows they are taken from,
+# three booleans and its share of the ternary index tables. A chunk holding
+# a single D, 2^(n - |D|) cells, is never split, so the bound holds for
+# every n up to the default powerset cap of 20.
+_ORDER_CHUNK_CELLS = 1 << 19
+_ORDER_CELL_BYTES = 48
+
+
+def _order_chunks(n: int) -> Iterable[tuple[int, int]]:
+    """(low, d) per chunk of the disjoint pairs (C, D) with D nonempty, in
+    ascending order of d. A chunk holds every cell whose D agrees with the
+    mask d on the elements from ``low`` up, and whose C and D are free on
+    the ``low`` elements below: 2^(n - low - |d|) * 3^low cells. The cell
+    count is checked before a chunk is taken, and an oversized chunk is
+    split on its element ``low - 1``, the half without it in D first."""
+
+    def split(low: int, d: int) -> Iterable[tuple[int, int]]:
+        if low == 0 or 3**low << (n - low - d.bit_count()) <= _ORDER_CHUNK_CELLS:
+            yield low, d
+        else:
+            yield from split(low - 1, d)
+            yield from split(low - 1, d | 1 << (low - 1))
+
+    for k in range(n):  # D's top element
+        yield from split(k, 1 << k)
+
+
+def _least_violating_row(r: np.ndarray, n: int) -> int | None:
+    """The least A = C | D over the disjoint pairs (C, D) with C in P_D
+    and some superset of C in the powerset of the complement of D outside
+    P_D (see ``is_supermodular_order``); None when there is none."""
+    best = 1 << n
+    # C and C | D on the ternary cells of the low elements, element 0
+    # fastest: each element is outside both, in C, or in D
+    low_c = low_a = np.zeros(1, dtype=np.intp)
+    made = 0
+    for low, d in _order_chunks(n):
+        if d >= best:  # A contains D, and later chunks hold larger D
+            break
+        for e in range(made, low):
+            low_c = np.concatenate((low_c, low_c + (1 << e), low_c))
+            low_a = np.concatenate((low_a, low_a + (1 << e), low_a + (1 << e)))
+        made = max(made, low)
+        tc, ta = low_c[: 3**low], low_a[: 3**low]
+        # the elements from low up outside D, each in C or not, ascending
+        hi = np.zeros(1, dtype=np.intp)
+        free = [e for e in range(low, n) if not d >> e & 1]
+        for e in free:
+            hi = np.concatenate((hi, hi + (1 << e)))
+        rows = r.reshape(-1, 1 << low)  # one row per value of the bits from low up
+        # C in P_D: r(C | D) > r(C)
+        up = np.take(rows[(hi + d) >> low], ta, axis=1) > np.take(rows[hi >> low], tc, axis=1)
+        g = up.copy()  # and every superset of C in the complement of D
+        for e in range(low):
+            v = g.reshape(-1, 3, 3**e)
+            v[:, 0] &= v[:, 1]
+        for i in range(len(free)):
+            v = g.reshape(-1, 2, (1 << i) * 3**low)
+            v[:, 0] &= v[:, 1]
+        up &= ~g
+        # A = d + hi[i] + ta[j], and hi ascends above every bit of ta
+        hit = up.any(axis=1)
+        i = int(hit.argmax())
+        if hit[i]:
+            best = min(best, d + int(hi[i]) + int(ta[up[i]].min()))
+    return None if best == 1 << n else best
+
+
 def is_supermodular_order(
     w: SubsetWeakOrder,
 ) -> tuple[bool, tuple[Subset, Subset] | None]:
     """Check the two exchange conditions defining a supermodular weak order:
     for every pair, either A is below the intersection or B is below the
     union; and when the intersection drops strictly below A, B must drop
-    strictly below the union. Returns (holds, first violating pair)."""
-    # the second condition implies the first, so a pair violates the order
-    # exactly when the intersection drops below A and B does not drop
-    # strictly below the union
-    hit = _first_violation(w._np_ranks, lambda a, ra, b, rb, t: (t[a & b] < ra) & (rb >= t[a | b]))
-    if hit is None:
+    strictly below the union. Returns (holds, first violating pair), the
+    first in row-major mask order, as a sweep of all 4^n pairs finds it.
+
+    The order is decided in O(n·3^n) by the criterion below, and a sweep
+    then places the witness in the one row the criterion names.
+
+    Violations. Write r for the rank. The second condition implies the
+    first: where it holds, r(A & B) >= r(A) or r(B) < r(A | B). So (A, B)
+    violates the order exactly when r(A & B) < r(A) and r(B) >= r(A | B).
+
+    Criterion. Put C = A & B and D = A - B. Then A = C | D, C <= B, B is
+    disjoint from D, and A | B = B | D. For each D let
+    P_D = {X <= ~D : r(X | D) > r(X)}. So (A, B) violates exactly when C
+    is in P_D and B is not, where C <= B <= ~D. Conversely, any disjoint C
+    and D and any B with C <= B <= ~D come from the pair (C | D, B), whose
+    intersection is C and whose difference is D. Hence the order is
+    supermodular iff every P_D is an up-set of the powerset of ~D.
+
+    One-element steps. Let G_D(X) say that every Y with X <= Y <= ~D lies
+    in P_D. P_D is an up-set iff every X in P_D has G_D(X). G_D is P_D
+    ANDed over supersets, which n steps compute over the 3^n disjoint pairs
+    (X, D), each element lying in X, in D or in neither: the step for
+    element e sets G_D(X) &= G_D(X + e) wherever e lies in neither.
+
+    Least row. Row A holds a violation iff A splits as C | D, C and D
+    disjoint, with C in P_D and G_D(C) false. If (A, B) violates, its C
+    and D are such a split, and B is a superset of C outside P_D. If a
+    split has G_D(C) false, some B with C <= B <= ~D lies outside P_D,
+    and (A, B) violates. So the least such C | D is the row of the sweep's
+    first violation. A sweep started there finds that violation in its
+    first block, so the witness is the full sweep's, bit for bit.
+
+    Search order. D <= A as sets gives D <= A as masks. The cells are
+    taken in chunks, grouped by D's top element k, in ascending order of
+    the bits of D that a chunk fixes, and those include k. Once the least
+    row found is at most the least D a later chunk can hold, no later chunk
+    holds a lesser row, and the search stops. A tied order whose first row
+    is 1 stops after the first chunk.
+
+    Memory. A chunk holds at most ``_ORDER_CHUNK_CELLS`` cells, checked
+    before it is built, at ``_ORDER_CELL_BYTES`` each at most.
+
+    The pairs with |D| = 1 alone do not decide the order: a P_D may fail to
+    be an up-set while every P_{e} is one (quasi-supermodularity is not a
+    local property; Milgrom and Shannon, Econometrica 1994).
+    """
+    r = w._np_ranks
+    start = _least_violating_row(r, w.ground.n)
+    if start is None:
         return True, None
+    hit = _first_violation(r, lambda a, ra, b, rb, t: (t[a & b] < ra) & (rb >= t[a | b]), start)
     return False, (Subset(w.ground, hit[0]), Subset(w.ground, hit[1]))
 
 

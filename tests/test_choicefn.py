@@ -356,7 +356,7 @@ class TestAnalyze:
                 assert start == want[axiom][0], (f.table, axiom)
 
     def test_set_function_sweeps_match_first_witness_oracle(self):
-        # classify's two sides and the supermodular-order sweep, on exact
+        # classify's two sides and the supermodular-order decision, on exact
         # values: small integers, Fractions, and values above 2**61, which
         # do not fit the int64 path
         def side(v, sign):

@@ -149,11 +149,11 @@ class TestVerify:
 
 class TestVerifySetFunction:
     """A supermodular function's order is reported supermodular without
-    the order sweep; any other function still gets the sweep's answer."""
+    the order decision; any other function still gets its answer."""
 
     def test_open_set_counts_skip_the_order_sweep(self, tmp_path, capsys, monkeypatch):
         def no_sweep(w):
-            raise AssertionError("order sweep ran on a supermodular function")
+            raise AssertionError("order decision ran on a supermodular function")
 
         monkeypatch.setattr(cli, "is_supermodular_order", no_sweep)
         rng = random.Random(23)

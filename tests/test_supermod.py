@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ from compchoice import (
     GroundSet,
     SetFamily,
     Subset,
+    SubsetWeakOrder,
     analyze,
     argmax_family,
     cf_from_order,
@@ -543,3 +545,163 @@ class TestOrderRoute:
         w = order_from_setfn(submodular_counterexample())
         with pytest.raises(PreconditionError):
             cf_from_order(w)
+
+
+def reference_order_witness(ranks):
+    """First (A, B) in row-major mask order breaking either exchange
+    condition of a supermodular weak order, None when both hold: the
+    definitional 4^n sweep, on the dense grid."""
+    r = np.asarray(ranks, dtype=np.int64)
+    a = np.arange(len(r))[:, None]
+    b = a.T
+    ri, ru = r[a & b], r[a | b]
+    hit = ~((r[a] <= ri) | (r[b] <= ru)) | ((ri < r[a]) & ~(r[b] < ru))
+    k = int(hit.argmax())
+    return divmod(k, len(r)) if hit.flat[k] else None
+
+
+def order_corpus():
+    """Seeded orders at n = 3-10: random tied and wide ranks, near misses
+    (one value of a synthesized function moved by one) and perturbed
+    synthesized functions, which hold."""
+    rng = random.Random(61)
+    for n in range(3, 11):
+        g = ground(n)
+        for _ in range(8 if n < 9 else 3):
+            yield SubsetWeakOrder(g, [rng.randint(0, 3) for _ in range(1 << n)])
+            yield SubsetWeakOrder(g, [rng.randrange(1 << n) for _ in range(1 << n)])
+            u = synthesize(random_complementary_cf(g, rng))
+            yield order_from_setfn(perturb(u, default_epsilon(g)))
+            vals = u._scaled_ints.tolist()
+            vals[rng.randrange(1 << n)] += rng.choice((-1, 1))
+            yield order_from_setfn(SetFunction(g, vals))
+
+
+def decided(w):
+    ok, wit = is_supermodular_order(w)
+    assert ok is (wit is None)
+    return wit and (wit[0].bits, wit[1].bits)
+
+
+class TestOrderDecision:
+    """``is_supermodular_order`` decides by the up-set criterion over the
+    disjoint pairs (C, D) and sweeps one row, compared bit for bit with
+    the definitional sweep of all 4^n pairs."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_every_rank_tuple_at_small_n(self, n):
+        g = ground(n)
+        fails = 0
+        for ranks in product(range(1 << n), repeat=1 << n):
+            want = reference_order_witness(ranks)
+            assert decided(SubsetWeakOrder(g, ranks)) == want, ranks
+            fails += want is not None
+        assert n < 2 or fails > 0
+
+    def test_seeded_orders_match_the_sweep(self):
+        fails = holds = 0
+        for w in order_corpus():
+            want = reference_order_witness(w._np_ranks)
+            assert decided(w) == want, w.ranks
+            fails += want is not None
+            holds += want is None
+        assert fails > 40 and holds > 20
+
+    def test_extreme_ranks(self):
+        top = (1 << 63) - 1
+        rng = random.Random(62)
+        for w in order_corpus():
+            if w.ground.n > 7:
+                break
+            # spread each order's ties to both ends, keeping its comparisons
+            tiers = np.unique(w._np_ranks, return_inverse=True)[1].reshape(-1)
+            levels = [-top, *range(tiers.max() - 1), top]
+            ranks = [levels[t] for t in tiers.tolist()]
+            assert decided(SubsetWeakOrder(w.ground, ranks)) == decided(w)
+            ranks = [rng.choice((-top, top)) for _ in ranks]
+            assert decided(SubsetWeakOrder(w.ground, ranks)) == reference_order_witness(ranks)
+
+    def test_tiny_chunks_give_the_same_answers(self, monkeypatch):
+        orders = [w for w in order_corpus() if w.ground.n <= 8]
+        want = [decided(w) for w in orders]
+        monkeypatch.setattr(supermod, "_ORDER_CHUNK_CELLS", 1)
+        assert [decided(w) for w in orders] == want
+
+    def test_chunks_cover_the_disjoint_pairs(self, monkeypatch):
+        for cells in (1, 30, 1 << 19):
+            monkeypatch.setattr(supermod, "_ORDER_CHUNK_CELLS", cells)
+            for n in range(8):
+                chunks = list(supermod._order_chunks(n))
+                ds = [d for _, d in chunks]
+                assert ds == sorted(ds)
+                sizes = [3**low << (n - low - d.bit_count()) for low, d in chunks]
+                assert sum(sizes) == 3**n - 2**n  # every pair with D nonempty
+                assert all(s <= cells or low == 0 for s, (low, _) in zip(sizes, chunks))
+
+    def test_tied_order_stops_after_the_first_chunk(self, monkeypatch):
+        taken = []
+        chunks = supermod._order_chunks
+
+        def counting(n):
+            for chunk in chunks(n):
+                taken.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(supermod, "_order_chunks", counting)
+        w = SubsetWeakOrder(ground(11), [0, 1] + [0] * ((1 << 11) - 2))
+        assert decided(w) == reference_order_witness(w._np_ranks) == (1, 2)
+        # the second chunk's D, {e1}, is past row 1, so it is not evaluated
+        assert taken == [(0, 1), (1, 2)]
+
+    def test_singleton_steps_are_not_enough(self):
+        # every P_{e} is an up-set, but P_{a, b} holds the empty set and
+        # not {c}: r({}) < r({a, b}) while r({c}) >= r({a, b, c}), so the
+        # first violation is (A, B) = ({a, b}, {c}), with |A - B| = 2
+        ranks = (0, 0, 0, 1, 2, 1, 1, 2)
+        n = 3
+        for e in range(n):
+            members = [c for c in range(1 << n) if not c >> e & 1 and ranks[c | 1 << e] > ranks[c]]
+            assert all(c | 1 << f in members for c in members for f in range(n) if not (c | 1 << e) >> f & 1)
+        want = reference_order_witness(ranks)
+        assert want == (0b011, 0b100)
+        assert decided(SubsetWeakOrder(ground(n), ranks)) == want
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_cf_from_order_refusal_names_the_sweep_witness(self, n):
+        refused = 0
+        for w in order_corpus():
+            if w.ground.n != n:
+                continue
+            want = reference_order_witness(w._np_ranks)
+            if want is None:
+                assert cf_from_order(w).ground == w.ground
+                continue
+            with pytest.raises(PreconditionError) as info:
+                cf_from_order(w)
+            pair = tuple(Subset(w.ground, m) for m in want)
+            assert info.value.witness == pair
+            assert str(info.value) == (
+                f"supermodular weak order required; exchange conditions fail at "
+                f"A={pair[0]!r} B={pair[1]!r}")
+            refused += 1
+        assert refused > 0
+
+    def test_peak_memory_within_the_stated_bound(self):
+        n = 14
+        g = ground(n)
+        rng = random.Random(63)
+        u = synthesize(random_complementary_cf(g, rng))
+        vals = u._scaled_ints.tolist()
+        vals[rng.randrange(1 << (n - 1), 1 << n)] += 1
+        orders = [order_from_setfn(perturb(u, default_epsilon(g))), order_from_setfn(SetFunction(g, vals))]
+        bound = supermod._ORDER_CHUNK_CELLS * supermod._ORDER_CELL_BYTES
+        results = []
+        for w in orders:
+            tracemalloc.start()
+            try:
+                results.append(is_supermodular_order(w)[0])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
+        assert results == [True, False]
