@@ -83,9 +83,13 @@ class AxiomReport:
     def witness(self, axiom: str) -> Witness | None:
         if axiom not in AXIOMS:
             raise ValueError(f"unknown axiom {axiom!r}")
-        if axiom not in self._found:
-            self._found[axiom] = _DECIDERS[axiom](self)
-        return self._found[axiom]
+        return self._witness(axiom)
+
+    def _witness(self, name: str) -> Witness | None:
+        """The witness of an axiom or of a part of one (``_PARTS``)."""
+        if name not in self._found:
+            self._found[name] = _DECIDERS[name](self)
+        return self._found[name]
 
     def flag(self, axiom: str) -> bool:
         return self.witness(axiom) is None
@@ -451,19 +455,9 @@ def _idempotency_witness(rep: AxiomReport) -> Witness | None:
     return None if a is None else Witness("menu", (Subset(rep.ground, a),))
 
 
-def _complete_complementarity_witness(rep: AxiomReport) -> Witness | None:
-    # Complete complementarity: preservation of intersections of arbitrary
-    # families of menus. Pairwise preservation gives every finite nonempty
-    # family by induction; the empty family has intersection X on both
-    # sides, which forces f(X) = X. Consistency is part of the definition
-    # and does not follow from the rest.
-    wit = rep.witness("consistent")
-    if wit is not None:
-        return wit
+def _full_menu_witness(rep: AxiomReport) -> Witness | None:
     full = len(rep._t) - 1
-    if rep._t[full] != full:
-        return Witness("full_menu", (Subset(rep.ground, full),))
-    return _pair_witness(rep, "meet", _meet_first_row)
+    return None if rep._t[full] == full else Witness("full_menu", (Subset(rep.ground, full),))
 
 
 _DECIDERS: dict[str, Callable[[AxiomReport], Witness | None]] = {
@@ -475,9 +469,26 @@ _DECIDERS: dict[str, Callable[[AxiomReport], Witness | None]] = {
     "substitutable_heredity": lambda rep: _pair_witness(
         rep, "substitutable_heredity", _heredity_first_row
     ),
-    "complementary": lambda rep: rep.witness("consistent") or rep.witness("monotone"),
-    "completely_complementary": _complete_complementarity_witness,
+    "full_menu": _full_menu_witness,
+    "meet": lambda rep: _pair_witness(rep, "meet", _meet_first_row),
 }
+
+# The composite axioms, each failing with the witness of its first failing
+# part. Complete complementarity preserves the intersections of arbitrary
+# families of menus: pairwise preservation (``meet``) gives every finite
+# nonempty family by induction, and the empty family, whose intersection is
+# X, forces f(X) = X (``full_menu``). Consistency does not follow from these.
+_PARTS = {
+    "complementary": ("consistent", "monotone"),
+    "completely_complementary": ("consistent", "full_menu", "meet"),
+}
+
+
+def _first_failing_part(parts: tuple[str, ...]) -> Callable[[AxiomReport], Witness | None]:
+    return lambda rep: next((w for p in parts if (w := rep._witness(p)) is not None), None)
+
+
+_DECIDERS.update({name: _first_failing_part(parts) for name, parts in _PARTS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +497,10 @@ _DECIDERS: dict[str, Callable[[AxiomReport], Witness | None]] = {
 # The exhaustive searches and the enumeration filter decide thousands of
 # tiny tables at once. Over an (R, 2^n) stack each pair axiom is decided by
 # its definitional grid, the ``_BAD`` predicate over every (A, B) of every
-# row, and the composite axioms are composed as ``_DECIDERS`` composes them.
-# The grids hold R·4^n cells: the stack suits tables whose whole grid fits
-# one sweep block, where ``_pair_witness`` decides by the sweep too.
-
-_PARTS = {
-    "complementary": ("consistent", "monotone"),
-    "completely_complementary": ("consistent", "full_menu", "meet"),
-}
+# row, and the composite axioms are composed of their ``_PARTS``, as in
+# ``analyze``. The grids hold R·4^n cells: the stack suits tables whose
+# whole grid fits one sweep block, where ``_pair_witness`` decides by the
+# sweep too.
 
 
 def _stack_holds(t: np.ndarray, name: str) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Exit codes are stable: 0 when everything requested holds, 1 for a semantic
 failure (a refuted expectation or an unmet route precondition, with a
-witness in the report), 2 for unusable input, 3 for a breach of an
-invariant the mathematics guarantees (never a warning) or any other crash.
+witness in the report), 2 for unusable input or an output path that cannot
+be written, 3 for a breach of an invariant the mathematics guarantees (never
+a warning) or any other crash.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Any, Callable, Sequence
@@ -84,22 +84,6 @@ _EXPECT_ALIASES = {
     "union-closed": "union_closed",
     "intersection-closed": "intersection_closed",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings shared by the subcommands."""
-
-    max_n: int | None = None
-    epsilon: Fraction | None = None
-    output: str | None = None
-    format: str = "human"
-
-    def __post_init__(self) -> None:
-        if self.max_n is not None and self.max_n < 1:
-            raise ValueError("--max-n must be at least 1")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("--epsilon must be positive")
 
 
 def _emit(text: str) -> None:
@@ -190,20 +174,15 @@ def _inspect(obj: Any) -> tuple[str, dict[str, bool], dict[str, Any]]:
     raise InternalInvariantError(f"no inspection for {type(obj).__name__}")
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
-    lift_failure: str | None = None
+def cmd_verify(args: argparse.Namespace) -> int:
+    claim_refuted = False
     try:
-        obj = documents.load_path(args.input)
+        kind, flags, wits = _inspect(documents.load_path(args.input))
     except LiftVerificationError as exc:
-        lift_failure = str(exc)
-        obj = documents.load_path(args.input, verify=False)
-    kind, flags, wits = _inspect(obj)
-    claim_refuted = lift_failure is not None
-    if claim_refuted:
         # the document itself asserts verified status, so a failed
         # re-verification is a semantic failure even with nothing expected
-        flags = {"verified": False}
-        wits = {"verified": lift_failure}
+        claim_refuted = True
+        kind, flags, wits = "lift", {"verified": False}, {"verified": str(exc)}
     expects = []
     for raw in args.expect or []:
         for token in raw.split(","):
@@ -218,7 +197,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
             return EXIT_INPUT
         normalized.append(key)
     expect_ok = all(flags[k] for k in normalized)
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "kind": "verify_report",
             "input_kind": kind,
@@ -249,13 +228,13 @@ def _check(name: str, ok: bool) -> dict[str, Any]:
     return {"name": name, "ok": bool(ok)}
 
 
-def _route_cf_to_family(f: ChoiceFunction, config: RunConfig) -> tuple[Any, list[dict]]:
+def _route_cf_to_family(f: ChoiceFunction) -> tuple[Any, list[dict]]:
     fam = decompose(f)
     checks = [_check("interior of the open sets reproduces the input", interior_cf(fam) == f)]
     return fam, checks
 
 
-def _route_family_to_cf(fam: SetFamily, config: RunConfig) -> tuple[Any, list[dict]]:
+def _route_family_to_cf(fam: SetFamily) -> tuple[Any, list[dict]]:
     f = interior_cf(fam)
     checks = [
         _check(
@@ -266,15 +245,15 @@ def _route_family_to_cf(fam: SetFamily, config: RunConfig) -> tuple[Any, list[di
     return f, checks
 
 
-def _route_cf_to_setfn(f: ChoiceFunction, config: RunConfig, do_perturb: bool = False) -> tuple[Any, list[dict]]:
+def _route_cf_to_setfn(f: ChoiceFunction, epsilon: Fraction | None) -> tuple[Any, list[dict]]:
+    """Synthesize, and then perturb at rate ``epsilon`` unless it is None."""
     u = synthesize(f)
     checks = [
         _check("synthesized function is supermodular", classify(u).is_supermodular),
         _check("induced choice reproduces the input", induce_cf(u) == f),
     ]
-    if do_perturb:
-        eps = config.epsilon if config.epsilon is not None else default_epsilon(f.ground)
-        u = perturb(u, eps)
+    if epsilon is not None:
+        u = perturb(u, epsilon)
         # the maximizers of a menu are all f(m) exactly when both their
         # intersection and their union are
         vals, table = u._scaled_ints, f._np_table
@@ -287,7 +266,7 @@ def _route_cf_to_setfn(f: ChoiceFunction, config: RunConfig, do_perturb: bool = 
     return u, checks
 
 
-def _route_setfn_to_cf(u: SetFunction, config: RunConfig) -> tuple[Any, list[dict]]:
+def _route_setfn_to_cf(u: SetFunction) -> tuple[Any, list[dict]]:
     f = induce_cf(u)
     # f(m) is the least maximizer of m exactly when it attains the maximum
     # and dropping any of its elements from the menu lowers the maximum
@@ -304,13 +283,13 @@ def _route_setfn_to_cf(u: SetFunction, config: RunConfig) -> tuple[Any, list[dic
     return f, checks
 
 
-def _route_cf_to_preorder(f: ChoiceFunction, config: RunConfig) -> tuple[Any, list[dict]]:
+def _route_cf_to_preorder(f: ChoiceFunction) -> tuple[Any, list[dict]]:
     p = preorder_from_cf(f)
     checks = [_check("largest-ideal chooser reproduces the input", ideal_cf(p) == f)]
     return p, checks
 
 
-def _route_preorder_to_cf(p: Preorder, config: RunConfig) -> tuple[Any, list[dict]]:
+def _route_preorder_to_cf(p: Preorder) -> tuple[Any, list[dict]]:
     f = ideal_cf(p)
     checks = [
         _check(
@@ -322,7 +301,7 @@ def _route_preorder_to_cf(p: Preorder, config: RunConfig) -> tuple[Any, list[dic
 
 
 def _route_cf_to_lift(kind: str) -> Callable:
-    def route(f: ChoiceFunction, config: RunConfig) -> tuple[Any, list[dict]]:
+    def route(f: ChoiceFunction) -> tuple[Any, list[dict]]:
         lift = full_lift(f) if kind == "full" else economical_lift(f)
         checks = [_check("direct image reproduces the input", ideal_image(lift.phi, lift.order) == f)]
         return lift, checks
@@ -330,7 +309,7 @@ def _route_cf_to_lift(kind: str) -> Callable:
     return route
 
 
-def _route_cf_to_neighborhoods(f: ChoiceFunction, config: RunConfig) -> tuple[Any, list[dict]]:
+def _route_cf_to_neighborhoods(f: ChoiceFunction) -> tuple[Any, list[dict]]:
     system = neighborhood_system_of(f)
     checks = [
         _check(
@@ -341,7 +320,7 @@ def _route_cf_to_neighborhoods(f: ChoiceFunction, config: RunConfig) -> tuple[An
     return system, checks
 
 
-def _route_neighborhoods_to_cf(system: NeighborhoodSystem, config: RunConfig) -> tuple[Any, list[dict]]:
+def _route_neighborhoods_to_cf(system: NeighborhoodSystem) -> tuple[Any, list[dict]]:
     f = cf_from_neighborhood_system(system)
     checks = [
         _check(
@@ -352,7 +331,7 @@ def _route_neighborhoods_to_cf(system: NeighborhoodSystem, config: RunConfig) ->
     return f, checks
 
 
-def _route_lattice_cf_to_fn(f: LatticeCF, config: RunConfig) -> tuple[Any, list[dict]]:
+def _route_lattice_cf_to_fn(f: LatticeCF) -> tuple[Any, list[dict]]:
     u = synthesize_lattice(f)
     checks = [
         _check("synthesized function is supermodular", classify_lattice(u).is_supermodular),
@@ -361,7 +340,7 @@ def _route_lattice_cf_to_fn(f: LatticeCF, config: RunConfig) -> tuple[Any, list[
     return u, checks
 
 
-def _route_lattice_fn_to_cf(u: LatticeFunction, config: RunConfig) -> tuple[Any, list[dict]]:
+def _route_lattice_fn_to_cf(u: LatticeFunction) -> tuple[Any, list[dict]]:
     f = induce_lattice_cf(u)
     # f(x) is the least maximizer below x exactly when it attains the
     # maximum there and lies below every element that does
@@ -389,7 +368,7 @@ _ROUTES: dict[tuple[type, str], Callable] = {
 }
 
 
-def cmd_convert(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_convert(args: argparse.Namespace) -> int:
     obj = documents.load_path(args.input)
     target = args.to
     route = _ROUTES.get((type(obj), target))
@@ -402,14 +381,16 @@ def cmd_convert(args: argparse.Namespace, config: RunConfig) -> int:
         return EXIT_INPUT
     try:
         if route is _route_cf_to_setfn:
-            n = obj.ground.n
-            if args.perturb and config.epsilon is not None and n * config.epsilon >= 1:
-                # a penalty of 1 or more can reorder integer values
-                _emit(f"error: --epsilon {config.epsilon} is too large at n = {n}: it must be below 1/{n}")
-                return EXIT_INPUT
-            out, checks = route(obj, config, do_perturb=args.perturb)
+            n, epsilon = obj.ground.n, None
+            if args.perturb:
+                epsilon = default_epsilon(obj.ground) if args.epsilon is None else args.epsilon
+                if n * epsilon >= 1:  # never so for the default, 1/(n+1)
+                    # a penalty of 1 or more can reorder integer values
+                    _emit(f"error: --epsilon {epsilon} is too large at n = {n}: it must be below 1/{n}")
+                    return EXIT_INPUT
+            out, checks = route(obj, epsilon)
         else:
-            out, checks = route(obj, config)
+            out, checks = route(obj)
     except PreconditionError as exc:
         _emit(f"conversion refused: {exc}")
         return EXIT_SEMANTIC
@@ -423,21 +404,20 @@ def cmd_convert(args: argparse.Namespace, config: RunConfig) -> int:
         for c in checks:
             _emit(f"  [{'ok' if c['ok'] else 'FAILED'}] {c['name']}")
         return EXIT_INTERNAL
-    if config.output:
-        documents.dump_path(out, config.output)
-        if config.format == "json":
-            _emit(json.dumps({"stamp": stamp, "output": config.output}, ensure_ascii=False))
+    if args.output:
+        documents.dump_path(out, args.output)
+        if args.format == "json":
+            _emit(json.dumps({"stamp": stamp, "output": args.output}, ensure_ascii=False))
         else:
-            _emit(f"wrote {config.output}")
+            _emit(f"wrote {args.output}")
             for c in checks:
                 _emit(f"  [ok] {c['name']}")
+    elif args.format == "json":
+        _emit(documents._canonical_text({"document": documents.to_document(out), "stamp": stamp}))
     else:
-        if config.format == "json":
-            _emit(documents._canonical_text({"document": documents.to_document(out), "stamp": stamp}))
-        else:
-            for c in checks:
-                _emit(f"  [ok] {c['name']}")
-            _emit(documents.dumps(out))
+        for c in checks:
+            _emit(f"  [ok] {c['name']}")
+        _emit(documents.dumps(out))
     return EXIT_OK
 
 
@@ -445,7 +425,7 @@ def cmd_convert(args: argparse.Namespace, config: RunConfig) -> int:
 # enumerate
 
 
-def cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
     if n < 0 or n > enumeration.MAX_FAMILY_N:
         _emit(f"error: enumeration supports 0 <= n <= {enumeration.MAX_FAMILY_N}")
@@ -460,7 +440,7 @@ def cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
             f"enumeration routes disagree at n={n}: "
             f"table filter {filter_count} vs families {family_count}"
         )
-    if config.format == "json":
+    if args.format == "json":
         _emit(
             json.dumps(
                 {
@@ -581,7 +561,7 @@ def _search_custom(n: int, predicate: str, limit: int | None) -> tuple[int, list
     ]
 
 
-def cmd_search(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_search(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1 or n > enumeration.MAX_FILTER_N:
         _emit(f"error: search supports 1 <= n <= {enumeration.MAX_FILTER_N}")
@@ -609,7 +589,7 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> int:
         _emit(f"error: unknown pattern {args.pattern!r}")
         return EXIT_INPUT
     truncated = limit is not None and found >= limit
-    if config.format == "json":
+    if args.format == "json":
         _emit(
             documents._canonical_text(
                 {
@@ -634,7 +614,7 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> int:
 # fixtures
 
 
-def cmd_fixtures(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_fixtures(args: argparse.Namespace) -> int:
     if not args.name:
         for name, desc in fixtures.list_fixtures():
             _emit(f"{name}: {desc}")
@@ -644,9 +624,9 @@ def cmd_fixtures(args: argparse.Namespace, config: RunConfig) -> int:
     except ValueError as exc:
         _emit(f"error: {exc}")
         return EXIT_INPUT
-    if config.output:
-        documents.dump_path(doc, config.output)
-        _emit(f"wrote {config.output}")
+    if args.output:
+        documents.dump_path(doc, args.output)
+        _emit(f"wrote {args.output}")
     else:
         _emit(documents.dumps(doc))
     return EXIT_OK
@@ -745,32 +725,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    epsilon = None
-    if getattr(args, "epsilon", None):
+    if getattr(args, "epsilon", None) is not None:
         try:
-            epsilon = documents.load_rational(args.epsilon, "--epsilon")
+            args.epsilon = documents.load_rational(args.epsilon, "--epsilon")
         except DocumentError as exc:
             _emit(f"error: {exc}")
             return EXIT_INPUT
-    try:
-        config = RunConfig(
-            max_n=args.max_n,
-            epsilon=epsilon,
-            output=args.output,
-            format=args.format,
-        )
-    except ValueError as exc:
-        _emit(f"error: {exc}")
+    if args.max_n is not None and args.max_n < 1:
+        _emit("error: --max-n must be at least 1")
+        return EXIT_INPUT
+    if getattr(args, "epsilon", None) is not None and args.epsilon <= 0:
+        _emit("error: --epsilon must be positive")
         return EXIT_INPUT
     previous_limit = powerset_limit()
-    if config.max_n is not None:
-        set_powerset_limit(config.max_n)
+    if args.max_n is not None:
+        set_powerset_limit(args.max_n)
     try:
-        return args.func(args, config)
-    except DocumentError as exc:
-        _emit(f"input error: {exc}")
-        return EXIT_INPUT
-    except PowersetLimitError as exc:
+        return args.func(args)
+    except (DocumentError, PowersetLimitError) as exc:
         _emit(f"input error: {exc}")
         return EXIT_INPUT
     except InternalInvariantError as exc:

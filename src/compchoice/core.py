@@ -305,6 +305,21 @@ def _close_reflexive_transitive(n: int, masks: list[int]) -> list[int]:
     return masks
 
 
+def _closed_down_masks(
+    names: tuple[str, ...], pairs: Iterable[tuple[str, str]], noun: str
+) -> list[int]:
+    """The reflexive-transitive closure of (y, x) pairs meaning y <= x, as
+    down-masks over ``names`` (bit j of mask i: names[j] <= names[i]); a
+    pair naming anything else mentions unknown ``noun``."""
+    index = {name: i for i, name in enumerate(names)}
+    masks = [0] * len(names)
+    for y, x in pairs:
+        if y not in index or x not in index:
+            raise ValueError(f"pair ({y!r}, {x!r}) mentions unknown {noun}")
+        masks[index[x]] |= 1 << index[y]
+    return _close_reflexive_transitive(len(names), masks)
+
+
 def _transitivity_leak(masks: Sequence[int]) -> tuple[int, int] | None:
     """The first (i, j), by i and then j, with j below i (bit j of
     ``masks[i]``) but the mask of j not inside that of i; None if none."""
@@ -363,30 +378,12 @@ class Preorder:
             )
 
     @classmethod
-    def from_pairs(
-        cls,
-        carrier: Sequence[str],
-        pairs: Iterable[tuple[str, str]],
-        *,
-        close: bool = True,
-    ) -> Preorder:
-        """Build from (y, x) pairs meaning y <= x.
-
-        With ``close=True`` the reflexive-transitive closure is applied;
-        otherwise the given pairs must already form a preorder.
-        """
+    def from_pairs(cls, carrier: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Preorder:
+        """Build from (y, x) pairs meaning y <= x, closed reflexively and
+        transitively."""
         carrier = tuple(carrier)
         ensure_relation_tractable(len(carrier), what="preorder")
-        index = {name: i for i, name in enumerate(carrier)}
-        masks = [0] * len(carrier)
-        for y, x in pairs:
-            if y not in index or x not in index:
-                raise ValueError(f"pair ({y!r}, {x!r}) mentions unknown points")
-            masks[index[x]] |= 1 << index[y]
-        if close:
-            return cls(carrier, tuple(_close_reflexive_transitive(len(carrier), masks)), True)
-        # construction rejects pairs that are not transitively closed
-        return cls(carrier, tuple(m | 1 << i for i, m in enumerate(masks)))
+        return cls(carrier, tuple(_closed_down_masks(carrier, pairs, "points")), True)
 
     @property
     def n(self) -> int:
@@ -577,35 +574,17 @@ class FiniteLattice:
         self._bottom_i, self._top_i = int(bottoms[0]), int(tops[0])
 
     @classmethod
-    def from_leq_pairs(
-        cls,
-        elems: Sequence[str],
-        pairs: Iterable[tuple[str, str]],
-        *,
-        close: bool = True,
-    ) -> FiniteLattice:
+    def from_leq_pairs(cls, elems: Sequence[str], pairs: Iterable[tuple[str, str]]) -> FiniteLattice:
         """Build from (x, y) pairs meaning x <= y; meet and join are derived.
 
-        The reflexive-transitive closure is applied by default, so a Hasse
-        diagram's cover pairs are valid input. Raises ``NotALatticeError``
-        when some pair of elements lacks a greatest lower or least upper
-        bound, or when the closure is not antisymmetric.
+        The reflexive-transitive closure is applied, so a Hasse diagram's
+        cover pairs are valid input. Raises ``NotALatticeError`` when some
+        pair of elements lacks a greatest lower or least upper bound, or
+        when the closure is not antisymmetric.
         """
         elems = tuple(elems)
         ensure_relation_tractable(len(elems), what="lattice")
-        index = {name: i for i, name in enumerate(elems)}
-        n = len(elems)
-        down = [0] * n
-        for x, y in pairs:
-            if x not in index or y not in index:
-                raise ValueError(f"pair ({x!r}, {y!r}) mentions unknown elements")
-            down[index[y]] |= 1 << index[x]
-        if close:
-            down = _close_reflexive_transitive(n, down)
-        else:
-            for i in range(n):
-                down[i] |= 1 << i
-        return cls(elems, tuple(down))
+        return cls(elems, _closed_down_masks(elems, pairs, "elements"))
 
     @property
     def n(self) -> int:

@@ -41,13 +41,12 @@ def _fail(msg: str) -> None:
     raise DocumentError(msg)
 
 
-def _expect_list(doc: Mapping, key: str, where: str = "") -> list:
-    loc = f"{where}{key}"
+def _expect_list(doc: Mapping, key: str) -> list:
     if key not in doc:
-        _fail(f"missing field {loc!r}")
+        _fail(f"missing field {key!r}")
     val = doc[key]
     if not isinstance(val, list):
-        _fail(f"field {loc!r} must be an array")
+        _fail(f"field {key!r} must be an array")
     return val
 
 
@@ -81,8 +80,8 @@ def _load_pairs(raw: list, message: str) -> list[tuple[str, str]]:
     return list(map(tuple, raw))
 
 
-def _load_ground(doc: Mapping, key: str = "ground") -> GroundSet:
-    names = _expect_names(_expect_list(doc, key), key)
+def _load_ground(doc: Mapping) -> GroundSet:
+    names = _expect_names(_expect_list(doc, "ground"), "ground")
     try:
         return GroundSet(tuple(names))
     except ValueError as exc:
@@ -307,13 +306,13 @@ def preorder_to_doc(p: Preorder) -> dict:
     }
 
 
-def preorder_from_doc(doc: Mapping, *, require_closed: bool = False) -> Preorder:
+def preorder_from_doc(doc: Mapping) -> Preorder:
     carrier = _expect_names(_expect_list(doc, "carrier"), "carrier")
     pairs = _load_pairs(
         _expect_list(doc, "pairs"), "pairs[{}] must be a [y, x] array of names meaning y <= x"
     )
     try:
-        return Preorder.from_pairs(tuple(carrier), pairs, close=not require_closed)
+        return Preorder.from_pairs(tuple(carrier), pairs)
     except ValueError as exc:
         _fail(f"bad preorder: {exc}")
 
@@ -446,7 +445,7 @@ def direct_source_of(lift: Lift) -> ChoiceFunction:
     return ideal_image(lift.phi, lift.order)
 
 
-def lift_from_doc(doc: Mapping, *, verify: bool = True) -> Lift:
+def lift_from_doc(doc: Mapping) -> Lift:
     kind = doc.get("lift_kind")
     if kind not in ("full", "economical"):
         _fail("field 'lift_kind' must be 'full' or 'economical'")
@@ -475,12 +474,9 @@ def lift_from_doc(doc: Mapping, *, verify: bool = True) -> Lift:
     except ValueError as exc:
         _fail(f"bad pair order: {exc}")
     lift = Lift(space=space, phi=phi, kind=kind, order=order)
-    if verify:
-        failures = lift.verification_failures(source)
-        if failures:
-            raise LiftVerificationError(
-                "imported lift failed re-verification: " + "; ".join(failures)
-            )
+    failures = lift.verification_failures(source)
+    if failures:
+        raise LiftVerificationError("imported lift failed re-verification: " + "; ".join(failures))
     return lift
 
 
@@ -593,7 +589,7 @@ def to_document(obj: Any) -> dict:
     raise TypeError(f"no document form for {type(obj).__name__}")
 
 
-def from_document(doc: Any, **kwargs) -> Any:
+def from_document(doc: Any) -> Any:
     if not isinstance(doc, Mapping):
         _fail("document must be a JSON object")
     if "document" in doc and "kind" not in doc:
@@ -606,7 +602,7 @@ def from_document(doc: Any, **kwargs) -> Any:
         _fail(
             f"unknown document kind {kind!r}; expected one of {', '.join(KINDS)}"
         )
-    return _FROM_DOC[kind](doc, **kwargs)
+    return _FROM_DOC[kind](doc)
 
 
 def _canonical_text(doc: Any) -> str:
@@ -696,17 +692,17 @@ def dumps(obj: Any) -> str:
     return _canonical_text(obj if isinstance(obj, dict) else to_document(obj)) + "\n"
 
 
-def loads(text: str, **kwargs) -> Any:
+def loads(text: str) -> Any:
     try:
         doc = json.loads(text)
     except RecursionError:
         _fail("not valid JSON: arrays or objects nested too deeply")
     except ValueError as exc:  # also an integer literal beyond int's digit limit
         _fail(f"not valid JSON: {exc}")
-    return from_document(doc, **kwargs)
+    return from_document(doc)
 
 
-def load_path(path: str, **kwargs) -> Any:
+def load_path(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -714,9 +710,12 @@ def load_path(path: str, **kwargs) -> Any:
         _fail(f"cannot read {path!r}: {exc}")
     except UnicodeDecodeError as exc:
         _fail(f"{path!r} is not UTF-8 text: {exc}")
-    return loads(text, **kwargs)
+    return loads(text)
 
 
 def dump_path(obj: Any, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(obj))
+    except OSError as exc:
+        _fail(f"cannot write {path!r}: {exc}")

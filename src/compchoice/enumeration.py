@@ -176,13 +176,10 @@ def iter_preorders(carrier: tuple[str, ...]) -> Iterator[Preorder]:
             yield Preorder(carrier, masks, True)
 
 
-def random_family(
-    ground: GroundSet, rng: random.Random, max_members: int | None = None
-) -> SetFamily:
-    """A random base: a handful of random subsets (not necessarily closed)."""
-    if max_members is None:
-        max_members = ground.n + 1
-    count = rng.randint(0, max_members)
+def random_family(ground: GroundSet, rng: random.Random) -> SetFamily:
+    """A random base: from 0 to n + 1 random subsets, drawn with repetition
+    (not necessarily closed)."""
+    count = rng.randint(0, ground.n + 1)
     masks = frozenset(rng.randrange(ground.n_masks) for _ in range(count))
     return SetFamily(ground, masks)
 

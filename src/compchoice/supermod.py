@@ -563,32 +563,26 @@ def cf_from_order(w: SubsetWeakOrder) -> ChoiceFunction:
     return ChoiceFunction(w.ground, inter)
 
 
-def random_modular(ground: GroundSet, rng: random.Random, span: int = 3) -> SetFunction:
-    """A random modular function: a constant plus per-element weights."""
-    alpha = rng.randint(-span, span)
-    beta = [rng.randint(-span, span) for _ in range(ground.n)]
+def random_modular(ground: GroundSet, rng: random.Random) -> SetFunction:
+    """A random modular function: a constant plus per-element weights, each
+    a random integer from -3 to 3."""
+    alpha = rng.randint(-3, 3)
+    beta = [rng.randint(-3, 3) for _ in range(ground.n)]
     return SetFunction._of(ground, _modular(ground, beta, alpha), 1)
 
 
-def random_supermodular(
-    ground: GroundSet,
-    rng: random.Random,
-    terms: int | None = None,
-    coeff_max: int = 3,
-    span: int = 3,
-) -> SetFunction:
-    """A random supermodular function: a sparse nonnegative combination of
-    indicator building blocks plus a random modular part.
+def random_supermodular(ground: GroundSet, rng: random.Random) -> SetFunction:
+    """A random supermodular function: ``random_modular`` plus n + 2
+    indicator building blocks, each of a random subset and scaled by a
+    random integer from 1 to 3.
 
     Sufficient for generating test instances, not exhaustive: the extreme
     rays of the supermodular cone are not fully known, so no generator of
     this shape can cover them all.
     """
-    if terms is None:
-        terms = ground.n + 2
-    total = random_modular(ground, rng, span=span)
-    for _ in range(terms):
+    total = random_modular(ground, rng)
+    for _ in range(ground.n + 2):
         u_mask = rng.randrange(ground.n_masks)
-        coeff = rng.randint(1, coeff_max)
+        coeff = rng.randint(1, 3)
         total = total + elementary(Subset(ground, u_mask)).scale(coeff)
     return total

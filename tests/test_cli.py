@@ -87,6 +87,9 @@ class TestVerify:
         path = write_fixture(tmp_path, "submodular-counterexample-cf")
         code, _ = run(capsys, "verify", path, "--max-n", "2")
         assert code == 2
+        code, out = run(capsys, "verify", path, "--max-n", "0")
+        assert code == 2
+        assert out == "error: --max-n must be at least 1\n"
 
     def test_non_string_pair_entry_exits_two(self, tmp_path, capsys):
         path = tmp_path / "preorder.json"
@@ -134,7 +137,7 @@ class TestVerify:
         assert code == 3
         assert out == "internal error: TypeError: boom second line\n"
 
-    def test_tampered_lift_exits_one_even_without_expect(self, tmp_path, capsys):
+    def test_tampered_lift_exits_one_even_without_expect(self, tmp_path, capsys, monkeypatch):
         src = write_fixture(tmp_path, "overlapping-pairs-cf")
         lift_path = tmp_path / "lift.json"
         code, _ = run(capsys, "convert", src, "--to", "lift", "-o", lift_path)
@@ -142,9 +145,25 @@ class TestVerify:
         doc = json.loads(lift_path.read_text(encoding="utf-8"))
         doc["order_pairs"] = [[x, x] for x in doc["pair_elements"]]
         lift_path.write_text(json.dumps(doc), encoding="utf-8")
+        # the failed re-verification is reported without reading the file again
+        calls = []
+        load_path = documents.load_path
+
+        def counting(path):
+            calls.append(path)
+            return load_path(path)
+
+        monkeypatch.setattr(cli.documents, "load_path", counting)
+        failure = "imported lift failed re-verification: direct image does not reproduce the lifted function"
         code, out = run(capsys, "verify", lift_path)
-        assert code == 1
-        assert "verified" in out
+        assert code == 1 and len(calls) == 1
+        assert out == f"input kind: lift\n  verified  NO   witness: {failure}\n"
+        code, out = run(capsys, "verify", lift_path, "--format", "json")
+        assert code == 1 and len(calls) == 2
+        assert json.loads(out) == {
+            "kind": "verify_report", "input_kind": "lift", "flags": {"verified": False},
+            "witnesses": {"verified": failure}, "expect": [], "expect_ok": True,
+        }
 
 
 class TestVerifySetFunction:
@@ -234,14 +253,32 @@ class TestConvert:
                 code, out = run(capsys, "convert", src, "--to", "setfn", "--perturb", *eps, "--format", "json")
                 assert code == 0 and json.loads(out)["stamp"]["ok"] is True
 
+    def test_nonpositive_epsilon_refused(self, tmp_path, capsys):
+        src = write_fixture(tmp_path, "overlapping-pairs-cf")
+        for eps in ("0", "-1/2"):
+            code, out = run(capsys, "convert", src, "--to", "setfn", "--perturb", f"--epsilon={eps}")
+            assert code == 2
+            assert out == "error: --epsilon must be positive\n"
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        src = write_fixture(tmp_path, "overlapping-pairs-cf")
+        for argv in (
+            ["convert", src, "--to", "family", "-o", tmp_path / "missing" / "x.json"],
+            ["fixtures", "--name", "overlapping-pairs-cf", "-o", tmp_path / "missing" / "y.json"],
+        ):
+            code, out = run(capsys, *argv)
+            assert code == 2
+            assert out.count("\n") == 1 and out.startswith("input error: cannot write")
+
     def test_huge_epsilon_exponent_refused(self, tmp_path, capsys):
         src = write_fixture(tmp_path, "overlapping-pairs-cf")
         for eps in ("1e100000", "1e100000000"):
             code, out = run(capsys, "convert", src, "--to", "setfn", "--perturb", "--epsilon", eps)
             assert code == 2
             assert out.count("\n") == 1 and "exponent too large" in out
-        code, out = run(capsys, "convert", src, "--to", "setfn", "--perturb", "--epsilon", "1/0")
-        assert code == 2 and out.count("\n") == 1
+        for eps in ("1/0", ""):
+            code, out = run(capsys, "convert", src, "--to", "setfn", "--perturb", "--epsilon", eps)
+            assert code == 2 and out.count("\n") == 1
 
     @pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--format", "json", "-o", "out.json"]])
     def test_convert_serializes_once(self, tmp_path, capsys, monkeypatch, extra):
@@ -349,7 +386,7 @@ class TestConvert:
         monkeypatch.setitem(
             cli_module._ROUTES,
             (ChoiceFunction, "family"),
-            lambda obj, cfg: (decompose(obj), [{"name": "forced failure", "ok": False}]),
+            lambda obj: (decompose(obj), [{"name": "forced failure", "ok": False}]),
         )
         src = write_fixture(tmp_path, "overlapping-pairs-cf")
         code, out = run(capsys, "convert", src, "--to", "family")

@@ -159,13 +159,6 @@ class TestPreorder:
         assert p.leq("a", "a")
         assert not p.leq("c", "a")
 
-    def test_require_closed(self):
-        with pytest.raises(ValueError):
-            Preorder.from_pairs(("a", "b", "c"), [("a", "b"), ("b", "c")], close=False)
-        Preorder.from_pairs(
-            ("a", "b"), [("a", "a"), ("b", "b"), ("a", "b")], close=False
-        )
-
     def test_direct_construction_validates(self):
         with pytest.raises(ValueError):
             Preorder(("a", "b"), (0b01, 0b01))  # not reflexive at b

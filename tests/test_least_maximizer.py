@@ -32,7 +32,7 @@ from compchoice import (
 from compchoice import cli
 from compchoice.enumeration import random_family
 from compchoice.errors import NoUniqueMinimizerError
-from compchoice.supermod import _INT64_GUARD, SetFunction, _subset_max
+from compchoice.supermod import _INT64_GUARD, SetFunction, _subset_max, default_epsilon
 
 
 def ground(n):
@@ -293,12 +293,12 @@ class TestConvertChecks:
     def setup_method(self):
         g = ground(4)
         self.f = interior_cf(SetFamily.of(g, [("e0", "e1"), ("e1", "e2"), ("e3",)]))
-        self.config = cli.RunConfig()
+        self.epsilon = default_epsilon(g)
 
     def test_honest_routes_pass(self):
-        u, checks = cli._route_cf_to_setfn(self.f, self.config, do_perturb=True)
+        u, checks = cli._route_cf_to_setfn(self.f, self.epsilon)
         assert all(c["ok"] for c in checks)
-        _, checks = cli._route_setfn_to_cf(synthesize(self.f), self.config)
+        _, checks = cli._route_setfn_to_cf(synthesize(self.f))
         assert all(c["ok"] for c in checks)
 
     def test_non_least_maximizer_fails(self, monkeypatch):
@@ -306,7 +306,7 @@ class TestConvertChecks:
         _, _, union = walk(u._scaled_ints.tolist())
         assert union != list(self.f.table)  # the largest maximizer differs somewhere
         monkeypatch.setattr(cli, "induce_cf", lambda _: cli.ChoiceFunction(u.ground, tuple(union)))
-        _, checks = cli._route_setfn_to_cf(u, self.config)
+        _, checks = cli._route_setfn_to_cf(u)
         assert checks == [{"name": "choice is the least maximizer on every menu", "ok": False}]
 
     def test_non_maximizer_fails(self, monkeypatch):
@@ -314,7 +314,7 @@ class TestConvertChecks:
         table = list(self.f.table)
         table[-1] = 0
         monkeypatch.setattr(cli, "induce_cf", lambda _: cli.ChoiceFunction(u.ground, tuple(table)))
-        _, checks = cli._route_setfn_to_cf(u, self.config)
+        _, checks = cli._route_setfn_to_cf(u)
         assert checks[0]["ok"] is False
 
     @pytest.mark.parametrize("mutant", [
@@ -325,6 +325,6 @@ class TestConvertChecks:
     ])
     def test_tie_left_in_perturbed_function_fails(self, monkeypatch, mutant):
         monkeypatch.setattr(cli, "perturb", mutant)
-        _, checks = cli._route_cf_to_setfn(self.f, self.config, do_perturb=True)
+        _, checks = cli._route_cf_to_setfn(self.f, self.epsilon)
         unique = next(c for c in checks if c["name"].startswith("perturbed maximizer"))
         assert unique["ok"] is False
