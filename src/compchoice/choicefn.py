@@ -591,21 +591,16 @@ def packaged(k: Subset) -> ChoiceFunction:
     return ChoiceFunction.build(ground, lambda m: kb if kb & ~m == 0 else 0)
 
 
-def ideal_cf(p: Preorder, ground: GroundSet | None = None) -> ChoiceFunction:
-    """Choose the largest down-closed subset of each menu.
+def ideal_cf(p: Preorder) -> ChoiceFunction:
+    """Choose the largest down-closed subset of each menu, over the ground
+    set ``p.ground`` of the preorder's carrier.
 
     Equivalently: keep exactly the menu items whose principal ideal fits
     inside the menu. Reflexivity puts each point in its own ideal, so this
     is the subset-OR transform of the points seeded at their ideals.
     """
-    if ground is None:
-        ground = p.ground
-    elif ground.elements != p.carrier:
-        raise GroundSetMismatchError(
-            "preorder carrier must list exactly the ground-set elements, in order"
-        )
     points = [1 << i for i in range(p.n)]
-    return ChoiceFunction(ground, _submask_reduce(p.n, p.ideal_masks, points, np.bitwise_or))
+    return ChoiceFunction(p.ground, _submask_reduce(p.n, p.ideal_masks, points, np.bitwise_or))
 
 
 def threshold(ground: GroundSet, k: int) -> ChoiceFunction:

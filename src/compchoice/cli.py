@@ -725,6 +725,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "convert":
+        if args.epsilon is not None and not args.perturb:
+            _emit("error: --epsilon is the --perturb rate; it needs --perturb")
+            return EXIT_INPUT
+        if args.perturb and args.to != "setfn":
+            _emit("error: --perturb applies only to --to setfn")
+            return EXIT_INPUT
     if getattr(args, "epsilon", None) is not None:
         try:
             args.epsilon = documents.load_rational(args.epsilon, "--epsilon")

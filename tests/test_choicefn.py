@@ -496,11 +496,6 @@ class TestConstructors:
         discrete = Preorder.from_pairs(("a", "b", "c"), [])
         assert ideal_cf(discrete).table == identity_cf(abc).table
 
-    def test_ideal_cf_carrier_mismatch(self, abc):
-        p = Preorder.from_pairs(("a", "b"), [])
-        with pytest.raises(GroundSetMismatchError):
-            ideal_cf(p, abc)
-
     def test_threshold_examples(self, abc):
         f2 = threshold(abc, 2)
         assert f2(abc.subset(["a"])).is_empty

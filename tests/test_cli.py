@@ -260,6 +260,25 @@ class TestConvert:
             assert code == 2
             assert out == "error: --epsilon must be positive\n"
 
+    def test_epsilon_without_perturb_refused(self, tmp_path, capsys):
+        src = write_fixture(tmp_path, "overlapping-pairs-cf")
+        for eps in ("1/5", "1/0"):
+            code, out = run(capsys, "convert", src, "--to", "setfn", "--epsilon", eps)
+            assert code == 2
+            assert out == "error: --epsilon is the --perturb rate; it needs --perturb\n"
+
+    def test_perturb_off_the_setfn_route_refused(self, tmp_path, capsys):
+        src = write_fixture(tmp_path, "overlapping-pairs-cf")
+        u = write_fixture(tmp_path, "submodular-counterexample")
+        for argv in (
+            [src, "--to", "family", "--perturb"],
+            [src, "--to", "lift", "--perturb", "--epsilon", "1/5"],
+            [u, "--to", "cf", "--perturb"],
+        ):
+            code, out = run(capsys, "convert", *argv)
+            assert code == 2
+            assert out == "error: --perturb applies only to --to setfn\n"
+
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         src = write_fixture(tmp_path, "overlapping-pairs-cf")
         for argv in (
@@ -698,6 +717,24 @@ class TestExitContract:
                     assert text.count("\n") == 1, (argv, data, text)
 
         check()
+
+    @pytest.mark.parametrize("output", [False, True])
+    def test_lone_surrogate_name_exits_two(self, tmp_path, output):
+        # "\ud800" is valid JSON but cannot be written as UTF-8; stdout is
+        # strict UTF-8 here, as a terminal or a pipe is
+        path = tmp_path / "sur.json"
+        path.write_text('{"kind": "family", "ground": ["\\ud800"], "members": []}', encoding="ascii")
+        out_path = tmp_path / "out.json"
+        out_path.write_bytes(b"existing output\n")
+        argv = ["convert", str(path), "--to", "cf"] + (["-o", str(out_path)] if output else [])
+        buf = io.BytesIO()
+        stdout = io.TextIOWrapper(buf, encoding="utf-8", errors="strict")
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        stdout.flush()
+        assert code == 2
+        assert buf.getvalue() == b"input error: ground holds a name with a lone surrogate, which UTF-8 cannot encode\n"
+        assert out_path.read_bytes() == b"existing output\n"
 
 
 def chain_documents(n):

@@ -1,8 +1,11 @@
 import contextlib
 import copy
+import errno
 import io
 import json
+import os
 import random
+import stat
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -821,3 +824,132 @@ class TestPairLoaders:
                 entries = entries[key]
             entries[:] = [[Name(p[0]), *p[1:]] for p in entries]
             assert documents.dumps(documents.from_document(d)) == documents.dumps(documents.from_document(doc))
+
+
+def _truncating_dump_path(obj, path):
+    """The writer ``dump_path`` replaced, kept as the oracle of its bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(documents.dumps(obj))
+
+
+def _written_objects():
+    """Every kind's object, and seeded tables at n = 4 and n = 11."""
+    return _every_kind_object() + [
+        obj for n in (4, 11) for obj in _table_objects([f"x{i}" for i in range(n)], n)
+    ]
+
+
+class TestDumpPath:
+    """``dump_path`` overwrites its target in place and cuts a regular file
+    to the written length."""
+
+    def test_longer_file_loses_its_tail_and_shorter_file_grows(self, tmp_path):
+        obj = get_fixture("overlapping-pairs-cf")
+        data = documents.dumps(obj).encode("utf-8")
+        path = tmp_path / "f.json"
+        for old in (data + b"stale tail\n" * 50, b"{}", b"", data[:-1], data):
+            path.write_bytes(old)
+            documents.dump_path(obj, str(path))
+            assert path.read_bytes() == data
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o000])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            documents.dump_path(get_fixture("overlapping-pairs-cf"), str(tmp_path / "f.json"))
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "f.json").stat().st_mode) == 0o666 & ~umask
+
+    def test_dev_null_and_a_pipe(self):
+        obj = get_fixture("overlapping-pairs-cf")
+        data = documents.dumps(obj).encode("utf-8")
+        assert len(data) < 4096  # under any pipe buffer, so the write cannot block
+        documents.dump_path(obj, os.devnull)
+        r, w = os.pipe()
+        try:
+            documents.dump_path(obj, f"/dev/fd/{w}")
+            os.close(w)
+            w = None
+            with os.fdopen(r, "rb") as fh:
+                r = None
+                assert fh.read() == data
+        finally:
+            for fd in (r, w):
+                if fd is not None:
+                    os.close(fd)
+
+    def test_unwritable_paths_exit_two(self, tmp_path, capsys):
+        obj = get_fixture("overlapping-pairs-cf")
+        for path in (tmp_path, tmp_path / "missing" / "f.json"):
+            with pytest.raises(DocumentError, match=r"^cannot write "):
+                documents.dump_path(obj, str(path))
+            assert main(["fixtures", "--name", "overlapping-pairs-cf", "-o", str(path)]) == 2
+            out = capsys.readouterr().out
+            assert out.count("\n") == 1 and out.startswith("input error: cannot write")
+
+    def test_failed_write_closes_the_file(self, tmp_path, monkeypatch):
+        opened = []
+        real_open = os.open
+
+        def recording_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        def full_disk(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(os, "write", full_disk)
+        with pytest.raises(DocumentError, match=r"^cannot write .*No space left on device"):
+            documents.dump_path(get_fixture("overlapping-pairs-cf"), str(tmp_path / "f.json"))
+        monkeypatch.undo()
+        assert len(opened) == 1
+        with pytest.raises(OSError):
+            os.fstat(opened[0])
+
+    def test_failed_encode_leaves_the_file(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_bytes(b"existing\n")
+        with pytest.raises(UnicodeEncodeError):
+            documents.dump_path(identity_cf(GroundSet(("\ud800",))), str(path))
+        assert path.read_bytes() == b"existing\n"
+
+    def test_bytes_are_dumps_as_with_the_truncating_writer(self, tmp_path):
+        # over no file, a longer one and a shorter one
+        for i, obj in enumerate(_written_objects()):
+            data = documents.dumps(obj).encode("utf-8")
+            for old in (None, data + b"\n" * 100, data[: len(data) // 2]):
+                paths = (tmp_path / f"{i}-old.json", tmp_path / f"{i}-new.json")
+                for path in paths:
+                    if old is None:
+                        path.unlink(missing_ok=True)
+                    else:
+                        path.write_bytes(old)
+                _truncating_dump_path(obj, str(paths[0]))
+                documents.dump_path(obj, str(paths[1]))
+                assert paths[0].read_bytes() == paths[1].read_bytes() == data
+
+
+class TestSurrogateNames:
+    """A lone surrogate is valid JSON but no UTF-8, so a document that
+    defines a name holding one is refused on load."""
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            (documents.to_document(get_fixture("partition-pretopology")), ("ground",)),
+            (documents.to_document(get_fixture("twin-elements-preorder")), ("carrier",)),
+            (documents.to_document(divisor_lattice(12)), ("elems",)),
+            (documents.to_document(get_fixture("divisors-12-lattice-cf")), ("lattice", "elems")),
+            (documents.to_document(economical_lift(get_fixture("overlapping-pairs-cf"))), ("pair_elements",)),
+        ],
+    )
+    def test_refused_where_names_are_defined(self, doc, field):
+        doc = copy.deepcopy(doc)
+        names = doc
+        for key in field:
+            names = names[key]
+        names[-1] += "\ud800"
+        with pytest.raises(DocumentError, match=rf"^{field[-1]} holds a name with a lone surrogate"):
+            documents.loads(json.dumps(doc))
