@@ -369,6 +369,22 @@ _ROUTES: dict[tuple[type, str], Callable] = {
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
+    if args.perturb and args.to != "setfn":
+        _emit("error: --perturb applies only to --to setfn")
+        return EXIT_INPUT
+    epsilon = None
+    if args.epsilon is not None:
+        if not args.perturb:
+            _emit("error: --epsilon is the --perturb rate; it needs --perturb")
+            return EXIT_INPUT
+        try:
+            epsilon = documents.load_rational(args.epsilon, "--epsilon")
+        except DocumentError as exc:
+            _emit(f"error: {exc}")
+            return EXIT_INPUT
+        if epsilon <= 0:
+            _emit("error: --epsilon must be positive")
+            return EXIT_INPUT
     obj = documents.load_path(args.input)
     target = args.to
     route = _ROUTES.get((type(obj), target))
@@ -381,9 +397,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     try:
         if route is _route_cf_to_setfn:
-            n, epsilon = obj.ground.n, None
             if args.perturb:
-                epsilon = default_epsilon(obj.ground) if args.epsilon is None else args.epsilon
+                n = obj.ground.n
+                epsilon = default_epsilon(obj.ground) if epsilon is None else epsilon
                 if n * epsilon >= 1:  # never so for the default, 1/(n+1)
                     # a penalty of 1 or more can reorder integer values
                     _emit(f"error: --epsilon {epsilon} is too large at n = {n}: it must be below 1/{n}")
@@ -477,6 +493,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # in all are refused.
 _SEARCH_MAX_ROWS = 1 << 21
 _SEARCH_CHUNK = 1 << 14
+_SEARCH_VALUE_MAX = 4  # the scan's --value-max when none is given
 
 
 def _search_ground(n: int) -> GroundSet:
@@ -571,7 +588,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         _emit(f"error: --limit must be at least 1, got {limit}")
         return EXIT_INPUT
     if args.pattern == "submodular-not-substitutable":
-        vmax = args.value_max
+        if args.predicate is not None:
+            _emit("error: --predicate applies only to --pattern custom-predicate")
+            return EXIT_INPUT
+        vmax = _SEARCH_VALUE_MAX if args.value_max is None else args.value_max
         rows = (vmax + 1) ** (1 << n)
         if not 0 <= vmax <= np.iinfo(np.int16).max or rows > _SEARCH_MAX_ROWS:
             _emit(
@@ -580,14 +600,14 @@ def cmd_search(args: argparse.Namespace) -> int:
             )
             return EXIT_INPUT
         found, matches = _search_submodular_not_substitutable(n, vmax, limit)
-    elif args.pattern == "custom-predicate":
+    else:
+        if args.value_max is not None:
+            _emit("error: --value-max applies only to --pattern submodular-not-substitutable")
+            return EXIT_INPUT
         if not args.predicate:
             _emit("error: --predicate is required with the custom-predicate pattern")
             return EXIT_INPUT
         found, matches = _search_custom(n, args.predicate, limit)
-    else:
-        _emit(f"error: unknown pattern {args.pattern!r}")
-        return EXIT_INPUT
     truncated = limit is not None and found >= limit
     if args.format == "json":
         _emit(
@@ -644,17 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
             "on finite powersets and lattices."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("human", "json"), default="human", help="output style"
-    )
-    common.add_argument(
-        "--max-n", type=int, default=None, help="override the powerset-table cap"
-    )
-    common.add_argument("-o", "--output", default=None, help="write the result here")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="analyze a document's axioms")
+    p = sub.add_parser("verify", help="analyze a document's axioms")
     p.add_argument("input", help="path to a JSON document")
     p.add_argument(
         "--expect",
@@ -663,9 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser(
-        "convert", parents=[common], help="convert between representations"
-    )
+    p = sub.add_parser("convert", help="convert between representations")
     p.add_argument("input", help="path to a JSON document")
     p.add_argument(
         "--to",
@@ -685,7 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "enumerate",
-        parents=[common],
         help="count complementary choice functions along both enumeration routes",
     )
     p.add_argument("--n", type=int, required=True, help="ground-set size")
@@ -694,9 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser(
-        "search", parents=[common], help="hunt instances matching a pattern"
-    )
+    p = sub.add_parser("search", help="hunt instances matching a pattern")
     p.add_argument(
         "--pattern",
         required=True,
@@ -709,44 +716,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--value-max",
         type=int,
-        default=4,
-        help="largest table value for the exhaustive set-function scan",
+        default=None,
+        help=(
+            "largest table value for the exhaustive set-function scan "
+            f"(submodular-not-substitutable only; default {_SEARCH_VALUE_MAX})"
+        ),
     )
     p.add_argument("--limit", type=int, default=None, help="stop after this many matches")
-    p.add_argument("--predicate", default=None, help="axiom expression like 'monotone&!consistent'")
+    p.add_argument(
+        "--predicate",
+        default=None,
+        help="axiom expression like 'monotone&!consistent' (custom-predicate only)",
+    )
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("fixtures", parents=[common], help="list or print built-in instances")
+    p = sub.add_parser("fixtures", help="list or print built-in instances")
     p.add_argument("--name", default=None, help="fixture to print (omit to list)")
     p.set_defaults(func=cmd_fixtures)
+
+    # the shared options, each on just the commands that read it
+    for name in ("verify", "convert", "enumerate", "search"):
+        sub.choices[name].add_argument(
+            "--format", choices=("human", "json"), default="human", help="output style"
+        )
+    for name in ("verify", "convert"):
+        sub.choices[name].add_argument(
+            "--max-n", type=int, default=None, help="override the powerset-table cap"
+        )
+    for name in ("convert", "fixtures"):
+        sub.choices[name].add_argument("-o", "--output", default=None, help="write the result here")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "convert":
-        if args.epsilon is not None and not args.perturb:
-            _emit("error: --epsilon is the --perturb rate; it needs --perturb")
-            return EXIT_INPUT
-        if args.perturb and args.to != "setfn":
-            _emit("error: --perturb applies only to --to setfn")
-            return EXIT_INPUT
-    if getattr(args, "epsilon", None) is not None:
-        try:
-            args.epsilon = documents.load_rational(args.epsilon, "--epsilon")
-        except DocumentError as exc:
-            _emit(f"error: {exc}")
-            return EXIT_INPUT
-    if args.max_n is not None and args.max_n < 1:
+    args = build_parser().parse_args(argv)
+    max_n = getattr(args, "max_n", None)  # only verify and convert load a document
+    if max_n is not None and max_n < 1:
         _emit("error: --max-n must be at least 1")
         return EXIT_INPUT
-    if getattr(args, "epsilon", None) is not None and args.epsilon <= 0:
-        _emit("error: --epsilon must be positive")
-        return EXIT_INPUT
     previous_limit = powerset_limit()
-    if args.max_n is not None:
-        set_powerset_limit(args.max_n)
+    if max_n is not None:
+        set_powerset_limit(max_n)
     try:
         return args.func(args)
     except (DocumentError, PowersetLimitError) as exc:

@@ -730,7 +730,8 @@ def load_path(path: str) -> Any:
 def dump_path(obj: Any, path: str) -> None:
     """Write ``dumps(obj)`` to ``path`` as UTF-8, overwriting it in place.
 
-    The text is encoded before the file is opened, so a failed encode leaves
+    The text is encoded before the file is opened, so a failed encode, such
+    as a name holding a lone surrogate, raises ``DocumentError`` and leaves
     an existing file as it was. The file is opened without ``O_TRUNC`` and
     only a regular file longer than the text is cut to its length
     afterwards; a pipe, a tty or ``/dev/null`` is never truncated. Opening
@@ -738,8 +739,9 @@ def dump_path(obj: Any, path: str) -> None:
     close, at 0.1-0.3 ms per write. The write is not atomic: a crash or a
     full disk mid-write can leave a mix of old and new bytes.
     """
-    data = dumps(obj).encode("utf-8")
+    text = dumps(obj)
     try:
+        data = text.encode("utf-8")
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)  # the umask applies, as for open()
         try:
             view = memoryview(data)
@@ -750,5 +752,5 @@ def dump_path(obj: Any, path: str) -> None:
                 os.ftruncate(fd, len(data))
         finally:
             os.close(fd)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         _fail(f"cannot write {path!r}: {exc}")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import functools
@@ -618,6 +619,72 @@ class TestFixturesCommand:
     def test_unknown_name_exits_two(self, capsys):
         code, _ = run(capsys, "fixtures", "--name", "nope")
         assert code == 2
+
+
+# The options each command declares, as option-string tuples: each command
+# takes only what it reads, so none is accepted and then ignored.
+COMMAND_OPTIONS = {
+    "verify": {("--expect",), ("--format",), ("--max-n",)},
+    "convert": {("--to",), ("--perturb",), ("--epsilon",), ("--format",), ("--max-n",), ("-o", "--output")},
+    "enumerate": {("--n",), ("--stream",), ("--format",)},
+    "search": {("--pattern",), ("--n",), ("--value-max",), ("--limit",), ("--predicate",), ("--format",)},
+    "fixtures": {("--name",), ("-o", "--output")},
+}
+
+
+class TestOptionSurface:
+    def test_each_command_declares_only_what_it_reads(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        declared = {
+            name: {tuple(a.option_strings) for a in p._actions if a.option_strings and a.dest != "help"}
+            for name, p in commands.choices.items()
+        }
+        assert declared == COMMAND_OPTIONS
+        assert sum(map(len, declared.values())) == 20
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "IN", "-o", "OUT"], None),
+            (["enumerate", "--n", "2", "-o", "OUT"], None),
+            (["search", "--pattern", "custom-predicate", "--n", "2", "--predicate", "monotone", "-o", "OUT"], None),
+            (["enumerate", "--n", "3", "--max-n", "1"], None),
+            (["search", "--pattern", "submodular-not-substitutable", "--n", "3", "--max-n", "2"], None),
+            (["fixtures", "--max-n", "5"], None),
+            (["fixtures", "--format", "json"], None),
+            (
+                ["search", "--pattern", "custom-predicate", "--n", "3", "--predicate", "monotone", "--value-max", "9"],
+                "error: --value-max applies only to --pattern submodular-not-substitutable",
+            ),
+            (
+                ["search", "--pattern", "submodular-not-substitutable", "--n", "1", "--predicate", "bogus"],
+                "error: --predicate applies only to --pattern custom-predicate",
+            ),
+        ],
+        ids=[
+            "verify-o", "enumerate-o", "search-o", "enumerate-max-n", "search-max-n",
+            "fixtures-max-n", "fixtures-format", "search-value-max-off-pattern", "search-predicate-off-pattern",
+        ],
+    )
+    def test_option_the_command_does_not_read_exits_two(self, tmp_path, capsys, argv, message):
+        # message None: argparse refuses the option (usage on stderr)
+        src, out_path = write_fixture(tmp_path, "submodular-counterexample"), tmp_path / "out.json"
+        argv = [{"IN": str(src), "OUT": str(out_path)}.get(a, a) for a in argv]
+        if message is None:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+        else:
+            assert run(capsys, *argv) == (2, message + "\n")
+        assert not out_path.exists()
+
+    def test_value_max_defaults_to_four(self, capsys):
+        argv = ["search", "--pattern", "submodular-not-substitutable", "--n", "2"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--value-max", "4") == (0, out)
 
 
 def _seed_documents():
