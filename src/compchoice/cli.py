@@ -10,6 +10,7 @@ a warning) or any other crash.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -748,8 +749,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call.
+
+    The one piece of state this module keeps between calls. It is safe to
+    share because nothing changes it after it is built: ``parse_args``
+    returns a fresh namespace each time. It is kept because building takes
+    about 0.7 ms against 0.05 ms for a parse, 13 % of an n = 11 ``convert``
+    cycle.
+    """
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     max_n = getattr(args, "max_n", None)  # only verify and convert load a document
     if max_n is not None and max_n < 1:
         _emit("error: --max-n must be at least 1")

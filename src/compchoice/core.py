@@ -243,6 +243,30 @@ class SetFamily:
         return f"SetFamily[{inner}]"
 
 
+def _closed_under_unions(n: int, masks: Iterable[int]) -> bool:
+    """True iff ``masks``, the empty set among them, hold every pairwise union.
+
+    The steps of ``union_closure`` on a table indexed by rank among the
+    masks instead of by mask, stopping at the first union that is not among
+    them. No table has 2^n entries, so a family over any ground set is
+    decided, above the powerset cap too; masks past 62 elements stay Python
+    ints.
+    """
+    members = np.array(sorted(masks), dtype=np.int64 if n < 63 else object)
+    held = np.zeros(len(members), dtype=bool)
+    held[0] = True
+    last = len(members) - 1
+    for rank, b in enumerate(members):
+        if held[rank]:
+            continue
+        reached = members[held] | b
+        at = np.minimum(np.searchsorted(members, reached), last)
+        if not np.array_equal(members[at], reached):
+            return False
+        held[at] = True
+    return True
+
+
 def union_closure(base: SetFamily) -> SetFamily:
     """Smallest family containing the empty set and `base`, closed under unions.
 
@@ -251,42 +275,32 @@ def union_closure(base: SetFamily) -> SetFamily:
     Idempotent, extensive and monotone as an operator on families.
     """
     ensure_tractable(base.ground.n, what="union closure")
-    closed: set[int] = {0}
-    stack = list(base.masks)
-    while stack:
-        m = stack.pop()
-        if m in closed:
-            continue
-        unions = [m | c for c in closed]
-        closed.add(m)
-        stack.extend(u for u in unions if u not in closed)
-    return SetFamily(base.ground, frozenset(closed))
+    # each step ORs a member into every set the table holds; the table is
+    # union-closed after every step, so a member it already holds adds
+    # nothing, and ascending order skips every union of earlier members
+    closed = np.zeros(base.ground.n_masks, dtype=bool)
+    closed[0] = True
+    for b in base.sorted_masks:
+        if not closed[b]:
+            closed[np.flatnonzero(closed) | b] = True
+    return SetFamily(base.ground, frozenset(np.flatnonzero(closed).tolist()))
 
 
 def is_union_closed(fam: SetFamily) -> bool:
     """True iff the family contains the empty set and all pairwise unions."""
-    if 0 not in fam.masks:
-        return False
-    masks = fam.sorted_masks
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            if a | b not in fam.masks:
-                return False
-    return True
+    return 0 in fam.masks and _closed_under_unions(fam.ground.n, fam.masks)
 
 
 def is_intersection_closed(fam: SetFamily) -> bool:
     """True iff pairwise intersections of members are members.
 
     The full ground set is not required, and neither is the empty set
-    unless it arises as an intersection.
+    unless it arises as an intersection. Decided through complements: the
+    members hold every pairwise intersection exactly when their complements,
+    with the empty set added, hold every pairwise union.
     """
-    masks = fam.sorted_masks
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            if a & b not in fam.masks:
-                return False
-    return True
+    full = fam.ground.n_masks - 1
+    return _closed_under_unions(fam.ground.n, {0, *(full ^ m for m in fam.masks)})
 
 
 def _close_reflexive_transitive(n: int, masks: list[int]) -> list[int]:

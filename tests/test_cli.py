@@ -687,6 +687,68 @@ class TestOptionSurface:
         assert run(capsys, *argv, "--value-max", "4") == (0, out)
 
 
+def _call(argv):
+    """Exit code, stdout and stderr of one ``main`` call, an argparse exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestSharedParser:
+    """``main`` parses every call with one parser built on its first call."""
+
+    @pytest.fixture
+    def sequence(self, tmp_path):
+        cf = random_complementary_cf(GroundSet(tuple("abcd")), random.Random(3))
+        four = tmp_path / "cf4.json"
+        four.write_text(documents.dumps(documents.to_document(cf)), encoding="utf-8")
+        three = str(write_fixture(tmp_path, "overlapping-pairs-cf"))
+        return [
+            ["verify", three, "--expect", "complementary"],
+            ["verify", three],  # no --expect list carried over
+            ["convert", three],  # argparse error: --to is required
+            ["convert", three, "--to", "family"],
+            ["verify", str(four), "--max-n", "3"],
+            ["verify", str(four)],  # the cap is restored
+            ["verify", three, "--format", "json"],
+            ["verify", three],
+        ]
+
+    def test_calls_in_one_process_match_fresh_parsers(self, sequence, monkeypatch):
+        shared = [_call(argv) for argv in sequence]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            fresh = [_call(argv) for argv in sequence]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 0, 0]
+        assert "expected complementary: holds" in shared[0][1]
+        assert "expected" not in shared[1][1]
+        assert "--to" in shared[2][2]
+        assert json.loads(shared[6][1])["kind"] == "verify_report"
+        assert shared[7][1].startswith("input kind: choice_function\n")
+
+    def test_main_builds_the_parser_once(self, sequence, monkeypatch):
+        built = []
+
+        def build_parser():
+            built.append(None)
+            return original()
+
+        original = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        cli._parser.cache_clear()
+        try:
+            for argv in sequence:
+                _call(argv)
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+
 def _seed_documents():
     """One valid document of every kind, and a convert target for it."""
     cf = get_fixture("overlapping-pairs-cf")

@@ -36,6 +36,62 @@ def fam(ground, *memberses):
     return SetFamily.of(ground, memberses)
 
 
+def reference_union_closure(base):
+    """The set loop ``union_closure`` ran before its array steps: each
+    member, once, ORed into every set closed so far."""
+    closed = {0}
+    stack = list(base.masks)
+    while stack:
+        m = stack.pop()
+        if m in closed:
+            continue
+        unions = [m | c for c in closed]
+        closed.add(m)
+        stack.extend(u for u in unions if u not in closed)
+    return SetFamily(base.ground, frozenset(closed))
+
+
+def pairwise_union_closed(family):
+    """The pairwise loop ``is_union_closed`` ran before the array closure."""
+    if 0 not in family.masks:
+        return False
+    masks = family.sorted_masks
+    for i, a in enumerate(masks):
+        for b in masks[i + 1 :]:
+            if a | b not in family.masks:
+                return False
+    return True
+
+
+def pairwise_intersection_closed(family):
+    """The pairwise loop ``is_intersection_closed`` ran before it went through complements."""
+    masks = family.sorted_masks
+    for i, a in enumerate(masks):
+        for b in masks[i + 1 :]:
+            if a & b not in family.masks:
+                return False
+    return True
+
+
+def ground_of(n):
+    return GroundSet(tuple(f"x{i}" for i in range(n)))
+
+
+def seeded_bases(n, rng):
+    """Bases over n elements: the edge cases, large random members, and a
+    dense base of one- and two-element members whose closure holds 300-420
+    sets at n = 11, as in the benchmark's dense band."""
+    full = (1 << n) - 1
+    sparse = [rng.getrandbits(n) for _ in range(6)]
+    bases = [[], [0], [full], [0, full], sparse, sparse + [full]]
+    lo, hi = (300, 420) if n == 11 else (0, 1 << n)
+    while True:
+        dense = [sum(1 << i for i in rng.sample(range(n), rng.choice((1, 2, 2)))) for _ in range(14)]
+        if lo <= len(reference_union_closure(SetFamily(ground_of(n), frozenset(dense)))) <= hi:
+            break
+    return [SetFamily(ground_of(n), frozenset(b)) for b in bases + [dense]]
+
+
 class TestGroundSet:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -136,6 +192,44 @@ class TestUnionClosure:
         assert union_closure(c_small).masks == c_small.masks
         # output always passes the closedness test
         assert is_union_closed(c_small)
+
+
+class TestClosureAgainstReference:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_family_up_to_three_elements(self, n):
+        ground = ground_of(n)
+        for bits in range(1 << (1 << n)):
+            family = SetFamily(ground, frozenset(m for m in range(1 << n) if bits >> m & 1))
+            assert union_closure(family) == reference_union_closure(family)
+            assert is_union_closed(family) == pairwise_union_closed(family), family
+            assert is_intersection_closed(family) == pairwise_intersection_closed(family), family
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11])
+    def test_seeded_bases(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        for base in seeded_bases(n, rng):
+            closed = union_closure(base)
+            assert closed == reference_union_closure(base)
+            dropped = SetFamily(base.ground, closed.masks - {rng.choice(sorted(closed.masks))})
+            complements = SetFamily(base.ground, frozenset(full ^ m for m in closed.masks))
+            for family in (base, closed, dropped, complements):
+                assert is_union_closed(family) == pairwise_union_closed(family)
+                assert is_intersection_closed(family) == pairwise_intersection_closed(family)
+            assert is_union_closed(closed) and is_intersection_closed(complements)
+
+    @pytest.mark.parametrize("n", [25, 70])
+    def test_predicates_need_no_powerset_table(self, n):
+        # above the cap, and past int64 masks at n = 70
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        base = SetFamily(ground_of(n), frozenset(rng.getrandbits(n) for _ in range(8)))
+        closed = reference_union_closure(base)
+        complements = SetFamily(base.ground, frozenset(full ^ m for m in closed.masks))
+        for family in (base, closed, complements):
+            assert is_union_closed(family) == pairwise_union_closed(family)
+            assert is_intersection_closed(family) == pairwise_intersection_closed(family)
+        assert is_union_closed(closed) and is_intersection_closed(complements)
 
 
 class TestClosednessTests:
