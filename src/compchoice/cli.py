@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from itertools import product
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -62,7 +61,6 @@ from .pretop import (
 from .supermod import (
     ModularityClass,
     SetFunction,
-    _exchange_flags,
     _subset_max,
     classify,
     default_epsilon,
@@ -430,7 +428,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
             for c in checks:
                 _emit(f"  [ok] {c['name']}")
     elif args.format == "json":
-        _emit(documents._canonical_text({"document": documents.to_document(out), "stamp": stamp}))
+        _emit(documents._canonical_text({"document": out, "stamp": stamp}))
     else:
         for c in checks:
             _emit(f"  [ok] {c['name']}")
@@ -488,10 +486,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # search
 
 
-# The submodular-not-substitutable scan walks the candidate value tables,
-# (value_max + 1)^(2^n) of them, in chunks of at most _SEARCH_CHUNK, so that
-# a --limit search stops early; requests above _SEARCH_MAX_ROWS candidates
-# in all are refused.
+# The submodular-not-substitutable scan walks the submodular candidate
+# value tables in blocks of at most _SEARCH_CHUNK candidates, so that a
+# --limit search stops early; requests above _SEARCH_MAX_ROWS candidates,
+# (value_max + 1)^(2^n), are refused.
 _SEARCH_MAX_ROWS = 1 << 21
 _SEARCH_CHUNK = 1 << 14
 _SEARCH_VALUE_MAX = 4  # the scan's --value-max when none is given
@@ -501,50 +499,73 @@ def _search_ground(n: int) -> GroundSet:
     return GroundSet(tuple("abcdefgh"[:n]))
 
 
+def _submodular_gains(half: np.ndarray) -> np.ndarray:
+    """u(S+i) - u(S) for every element i and every S without i, one row
+    per (i, S) and one column per table of the menu-major stack ``half``."""
+    cols = half.shape[1]
+    gains = [
+        np.diff(half.reshape(-1, 2, 1 << i, cols), axis=1).reshape(-1, cols)
+        for i in range(half.shape[0].bit_length() - 1)
+    ]
+    return np.concatenate([np.empty((0, cols), half.dtype), *gains])
+
+
+def _submodular_join(half: np.ndarray, gains: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The submodular tables among the joins ``start`` to ``stop - 1`` of
+    ``half``, a menu-major stack of submodular tables over one element
+    fewer, with ``gains`` its ``_submodular_gains``. Join p takes
+    L = column p % C as the masks without the top element and
+    U = column p // C as the masks with it, so with ``half`` in ascending
+    candidate index (a table's value at mask m is its m-th digit in base
+    value_max + 1) the joins come in ascending candidate index too. A join
+    is submodular iff L and U are and every gain of L is at least the same
+    gain of U: these are the exchange squares inside each half, and those
+    on an element and the top one."""
+    cols = half.shape[1]
+    first, last = start // cols, -(-stop // cols)
+    ok = (gains[:, None, :] >= gains[:, first:last, None]).all(axis=0).reshape(-1)
+    upper, lower = np.divmod(np.flatnonzero(ok[start - first * cols : stop - first * cols]) + start, cols)
+    return np.concatenate((half[:, lower], half[:, upper]))
+
+
+def _submodular_tables(k: int, base: int) -> np.ndarray:
+    """Every submodular table over 2^k masks with values below ``base``,
+    menu-major as int16, in ascending candidate index: every value at
+    k = 0, then all the joins of the level below."""
+    half = np.arange(base, dtype=np.int16)[None]
+    for _ in range(k):
+        half = _submodular_join(half, _submodular_gains(half), 0, half.shape[1] ** 2)
+    return half
+
+
 def _search_submodular_not_substitutable(
     n: int, vmax: int, limit: int | None
 ) -> tuple[int, list[dict]]:
     ground = _search_ground(n)
     n_masks = 1 << n
-    base = vmax + 1
-    # Candidate r takes the value (r // base**m) % base at mask m. A chunk
-    # is menu-major, one column per candidate, in ascending r: the menus
-    # below `low` run through one product made once, menu `low` through
-    # `step` values from the chunk's start d, and the menus above hold the
-    # chunk's digits. With a large base, `step` keeps chunks near full.
-    low = 0
-    while low + 1 < n_masks and base ** (low + 1) <= _SEARCH_CHUNK:
-        low += 1
-    width = base**low
-    step = min(base, _SEARCH_CHUNK // width)
-    table = np.empty((n_masks, width * step), dtype=np.int16)
-    table[: low + 1] = np.indices((step,) + (base,) * low).reshape(low + 1, -1)[::-1]
-    offsets = table[low].copy()
+    half = _submodular_tables(n - 1, vmax + 1)
+    gains, joins = _submodular_gains(half), half.shape[1] ** 2
     masks = np.arange(n_masks, dtype=np.int16)
     matches: list[dict] = []
-    for *high, d in product(*[range(base)] * (n_masks - low - 1), range(0, base, step)):
-        table[low] = offsets + d
-        table[low + 1 :] = np.array(high[::-1], dtype=np.int16)[:, None]
-        chunk = table[:, : width * min(step, base - d)]
-        rows = chunk[:, _exchange_flags(chunk, n)[1]].T
-        best, induced = _subset_max(rows)
-        has_least = (np.take_along_axis(rows, induced, -1) == best).all(axis=1)
-        rows, induced = rows[has_least], induced[has_least]
+    for start in range(0, joins, _SEARCH_CHUNK):
+        tables = _submodular_join(half, gains, start, min(start + _SEARCH_CHUNK, joins))
+        best, induced = _subset_max(tables)
+        has_least = (np.take_along_axis(tables, induced, 0) == best).all(axis=0)
+        tables, ind = tables[:, has_least], induced[:, has_least].astype(np.int16)
         # heredity fails at (A, B) when A lies within B and the choice from B
         # keeps an element of A that the choice from A drops; the first
         # such pair is the first true cell of the row-major grid, here
         # menu-major with the candidates last
-        ind = induced.T.astype(np.int16)
         bad = _BAD["substitutable_heredity"](
             masks[:, None, None], ind[:, None], masks[:, None], ind, ind
-        ).reshape(n_masks * n_masks, len(rows))
+        ).reshape(n_masks * n_masks, ind.shape[1])
         first = bad.argmax(axis=0)
         for t in np.flatnonzero(bad.any(axis=0)):
             a, b = divmod(int(first[t]), n_masks)
-            offending = int(induced[t, b]) & a & ~int(induced[t, a])
+            offending = int(ind[b, t]) & a & ~int(ind[a, t])
             matches.append(
                 {
-                    "set_function": documents.setfn_to_doc(SetFunction(ground, rows[t])),
+                    "set_function": SetFunction._of(ground, tables[:, t], 1),
                     "heredity_witness": {
                         "A": Subset(ground, a).sorted_names(),
                         "B": Subset(ground, b).sorted_names(),
@@ -574,9 +595,7 @@ def _search_custom(n: int, predicate: str, limit: int | None) -> tuple[int, list
     holds = decide_stack(tables, {name for name, _ in terms})
     hit = np.logical_and.reduce([holds[name] != negate for name, negate in terms])
     rows = np.flatnonzero(hit)[:limit]
-    return len(rows), [
-        {"choice_function": documents.cf_to_doc(ChoiceFunction(ground, tables[r]))} for r in rows
-    ]
+    return len(rows), [{"choice_function": ChoiceFunction(ground, tables[r])} for r in rows]
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -625,7 +644,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         )
     else:
         for m in matches:
-            _emit(json.dumps(m, ensure_ascii=False))
+            _emit(json.dumps(m, ensure_ascii=False, default=documents.to_document))
         tail = " (stopped at limit)" if truncated else ""
         _emit(f"pattern {args.pattern} at n={n}: {found} match(es){tail}")
     return EXIT_OK

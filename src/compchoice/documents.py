@@ -585,6 +585,7 @@ _FROM_DOC: dict[str, Callable] = {
 }
 
 KINDS = tuple(_FROM_DOC)
+_DOCUMENT_TYPES = tuple(cls for cls, _, _ in _TO_DOC)
 
 
 def kind_of(obj: Any) -> str:
@@ -622,7 +623,9 @@ def from_document(doc: Any) -> Any:
 def _canonical_text(doc: Any) -> str:
     """The text ``json.dumps(doc, ensure_ascii=False, indent=2)`` writes,
     built without the encoder's pure-Python indenting path; object keys
-    must be strings, as in every document."""
+    must be strings, as in every document. Any object that
+    ``to_document`` accepts is written as its document, at its depth, a
+    choice table or a set function straight from its array."""
     out: list[str] = []
     _write(doc, "\n", out.append)
     return "".join(out)
@@ -659,6 +662,13 @@ def _write(o: Any, nl: str, out: Callable[[str], None]) -> None:
             _write(v, inner, out)
             lead = "," + inner
         out(nl + "}")
+    elif isinstance(o, _DOCUMENT_TYPES):  # an object, written as its document
+        if isinstance(o, ChoiceFunction):
+            out(_cf_text(o).replace("\n", nl))  # encoded strings hold no raw newline
+        elif isinstance(o, SetFunction):
+            out(_setfn_text(o).replace("\n", nl))
+        else:
+            _write(to_document(o), nl, out)
     else:
         out(json.dumps(o))
 
@@ -699,11 +709,7 @@ def dumps(obj: Any) -> str:
     """Canonical text form of an object or an already-built document dict,
     ``_canonical_text(to_document(obj))``; a choice table or a set function
     is written straight from its array, with no document built."""
-    if isinstance(obj, ChoiceFunction):
-        return _cf_text(obj) + "\n"
-    if isinstance(obj, SetFunction):
-        return _setfn_text(obj) + "\n"
-    return _canonical_text(obj if isinstance(obj, dict) else to_document(obj)) + "\n"
+    return _canonical_text(obj if isinstance(obj, (dict, *_DOCUMENT_TYPES)) else to_document(obj)) + "\n"
 
 
 def loads(text: str) -> Any:

@@ -341,8 +341,9 @@ def _maximizers(vals: np.ndarray, m: int) -> list[int]:
 def _subset_max(
     vals: np.ndarray, op: np.ufunc = np.bitwise_and
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Subset-max transform along the last axis of ``vals``, 2^n values
-    per row (int64, or object for exact big ints).
+    """Subset-max transform along the first axis of ``vals``, 2^n values
+    per column (int64, or object for exact big ints): one table, or a
+    menu-major (2^n, R) stack of R tables, as ``_exchange_flags`` takes.
 
     Returns ``best``, the maximum of ``vals`` over the submasks of each
     mask, and ``tied``, ``op`` reduced over the submasks attaining it:
@@ -352,12 +353,13 @@ def _subset_max(
     vectorized steps suffice (Yates 1937).
     """
     best = vals.copy()
-    n_masks = vals.shape[-1]
-    tied = np.broadcast_to(np.arange(n_masks, dtype=np.int64), vals.shape).copy()
+    n_masks, rest = vals.shape[0], vals.shape[1:]
+    masks = np.arange(n_masks, dtype=np.int64).reshape(-1, *[1] * len(rest))
+    tied = np.broadcast_to(masks, vals.shape).copy()
     for i in range(n_masks.bit_length() - 1):
-        shape = vals.shape[:-1] + (n_masks >> (i + 1), 2, 1 << i)
+        shape = (n_masks >> (i + 1), 2, 1 << i) + rest
         b, t = best.reshape(shape), tied.reshape(shape)
-        b_lo, b_hi, t_lo, t_hi = b[..., 0, :], b[..., 1, :], t[..., 0, :], t[..., 1, :]
+        b_lo, b_hi, t_lo, t_hi = b[:, 0], b[:, 1], t[:, 0], t[:, 1]
         up = b_lo > b_hi
         op(t_hi, t_lo, out=t_hi, where=b_lo == b_hi)
         np.copyto(t_hi, t_lo, where=up)
@@ -406,10 +408,10 @@ def order_from_setfn(u: SetFunction) -> SubsetWeakOrder:
 
 # The order decision visits the disjoint pairs (C, D) in chunks of at most
 # this many cells, and a cell costs at most ``_ORDER_CELL_BYTES`` at the
-# peak of a chunk: two gathered int64 ranks, the rows they are taken from,
-# three booleans and its share of the ternary index tables. A chunk holding
-# a single D, 2^(n - |D|) cells, is never split, so the bound holds for
-# every n up to the default powerset cap of 20.
+# peak of a chunk: two gathered int32 dense ranks, the rows they are taken
+# from, three booleans and its share of the ternary index tables. A chunk
+# holding a single D, 2^(n - |D|) cells, is never split, so the bound holds
+# for every n up to the default powerset cap of 20.
 _ORDER_CHUNK_CELLS = 1 << 19
 _ORDER_CELL_BYTES = 48
 
@@ -437,6 +439,8 @@ def _least_violating_row(r: np.ndarray, n: int) -> int | None:
     """The least A = C | D over the disjoint pairs (C, D) with C in P_D
     and some superset of C in the powerset of the complement of D outside
     P_D (see ``is_supermodular_order``); None when there is none."""
+    # only comparisons of ranks matter, and dense ranks below 2^n keep them
+    r = np.unique(r, return_inverse=True)[1].astype(np.int32)
     best = 1 << n
     # C and C | D on the ternary cells of the low elements, element 0
     # fastest: each element is outside both, in C, or in D

@@ -43,6 +43,7 @@ from compchoice import (
     synthesize,
     union,
 )
+from compchoice import documents
 from compchoice.cli import _search_submodular_not_substitutable
 from compchoice.enumeration import (
     dual_enumeration_counts,
@@ -277,7 +278,7 @@ def test_09_counterexample_search_rediscovers_the_fixture():
         for match in matches:
             vals = {
                 tuple(e["subset"]): Fraction(e["value"])
-                for e in match["set_function"]["values"]
+                for e in documents.to_document(match["set_function"])["values"]
             }
             table = tuple(
                 vals[tuple(Subset(ground, m).sorted_names())]

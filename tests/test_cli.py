@@ -307,10 +307,9 @@ class TestConvert:
         to_document = documents.to_document
         monkeypatch.setattr(documents, "to_document", lambda obj: calls.append(obj) or to_document(obj))
         extra = [str(tmp_path / a) if a.endswith(".json") else a for a in extra]
-        # a table is written straight from its array, except inside the
-        # json envelope; any other output builds its document once
-        envelope = extra == ["--format", "json"]
-        for target, built in (("setfn", ["SetFunction"] if envelope else []), ("family", ["SetFamily"])):
+        # a table is written straight from its array, inside the json
+        # envelope too; any other output builds its document once
+        for target, built in (("setfn", []), ("family", ["SetFamily"])):
             calls.clear()
             code, out = run(capsys, "convert", src, "--to", target, *extra)
             assert code == 0
@@ -579,7 +578,9 @@ class TestSearch:
     @pytest.mark.parametrize("predicate", CUSTOM_PREDICATES)
     def test_custom_predicate_matches_the_per_table_loop(self, n, predicate):
         for limit in (1, 7, 20, None):
-            assert cli._search_custom(n, predicate, limit) == custom_search_oracle(n, predicate, limit)
+            found, matches = cli._search_custom(n, predicate, limit)
+            docs = [{"choice_function": documents.to_document(m["choice_function"])} for m in matches]
+            assert (found, docs) == custom_search_oracle(n, predicate, limit)
 
     def test_custom_predicate_bad_axiom_exits_two(self, capsys):
         code, _ = run(

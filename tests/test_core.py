@@ -136,6 +136,18 @@ class TestSubset:
         with pytest.raises(GroundSetMismatchError):
             SetFamily.of(abc, [ab.subset(["a"])])
 
+    def test_family_masks_in_range(self, ab):
+        assert SetFamily(ab, frozenset({0, 3})).masks == {0, 3}
+        assert SetFamily(ab, frozenset()).masks == frozenset()
+        wide = ground_of(70)
+        assert SetFamily(wide, frozenset({0, 1 << 69, (1 << 70) - 1})).masks == {0, 1 << 69, (1 << 70) - 1}
+        for masks in ({4}, {-1}, {1 << 70}, set(range(4)) | {4}, set(range(4)) | {-2}):
+            # the first offending mask in iteration order, as a loop names it
+            bad = next(m for m in frozenset(masks) if not 0 <= m < 4)
+            with pytest.raises(ValueError) as info:
+                SetFamily(ab, frozenset(masks))
+            assert str(info.value) == f"mask {bad:#x} out of range for {ab!r}"
+
 
 class TestUnionClosure:
     def test_two_blocks(self, abc):

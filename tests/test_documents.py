@@ -412,6 +412,35 @@ class TestCanonicalText:
             main(["verify", str(src), "--format", "json"])
         assert buf.getvalue() == _indented(json.loads(buf.getvalue())) + "\n"
 
+    def test_objects_at_every_depth(self):
+        ground = GroundSet(("x10", "x2", "é", 'q"', "b\\s", "x1"))
+        rng = random.Random(4)
+        f = interior_cf(SetFamily.of(ground, [rng.sample(ground.elements, 3) for _ in range(5)]))
+        frac = SetFunction(ground, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(64)])
+        big = SetFunction(ground, [rng.randint(-(2**70), 2**70) for _ in range(64)])
+
+        def nest(leaf, depth):  # a dict field, then an array entry, and so on
+            for i in range(depth):
+                leaf = [leaf, 0] if i % 2 else {"leaf": leaf}
+            return leaf
+
+        for obj in _every_kind_object() + [f, frac, big]:
+            doc = documents.to_document(obj)
+            for depth in range(4):
+                assert documents._canonical_text(nest(obj, depth)) == _indented(nest(doc, depth))
+
+    def test_search_report(self):
+        for argv in (
+            ["--pattern", "submodular-not-substitutable", "--n", "3", "--limit", "3"],
+            ["--pattern", "custom-predicate", "--n", "2", "--predicate", "monotone"],
+        ):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(["search", *argv, "--format", "json"]) == 0
+            report = json.loads(buf.getvalue())
+            assert report["found"] == len(report["matches"]) > 0
+            assert buf.getvalue() == _indented(report) + "\n"
+
     @given(json_values)
     def test_any_json_value(self, value):
         assert documents._canonical_text(value) == _indented(value)

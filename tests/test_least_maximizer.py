@@ -3,7 +3,8 @@
 ``supermod._subset_max`` gives each menu's maximum over its submasks and
 the intersection (or union) of the submasks attaining it, in n vectorized
 steps. ``induce_cf``, ``cf_from_order``, the ``submodular-not-substitutable``
-search and the set-function ``convert`` checks all read it. The walk below
+search and the set-function ``convert`` checks all read it; it takes one
+table or a menu-major stack of them. The walk below
 visits every submask of every menu; it is the reference they are compared
 with: exhaustively for small value tables, on seeded tied integers at
 n = 6, 8 and 10, on Fraction values and on values above 2^61.
@@ -29,7 +30,7 @@ from compchoice import (
     random_supermodular,
     synthesize,
 )
-from compchoice import cli
+from compchoice import cli, documents, supermod
 from compchoice.enumeration import random_family
 from compchoice.errors import NoUniqueMinimizerError
 from compchoice.supermod import _INT64_GUARD, SetFunction, _subset_max, default_epsilon
@@ -124,21 +125,22 @@ class TestKernel:
         assert u._scaled_ints.dtype == object
         assert induce_cf(u).table == tuple(m & 1 for m in range(8))
 
-    def test_batched_rows_equal_single_rows(self):
+    def test_menu_major_columns_equal_single_tables(self):
         rng = random.Random(13)
-        for dtype, offset in ((np.int64, 0), (object, 1 << 70)):
-            rows = np.array(
-                [[offset + rng.randint(0, 2) for _ in range(16)] for _ in range(40)], dtype=dtype
+        for dtype, offset in ((np.int16, 0), (np.int64, 0), (object, 1 << 70)):
+            stack = np.array(
+                [[offset + rng.randint(0, 2) for _ in range(40)] for _ in range(16)], dtype=dtype
             )
-            best, inter = _subset_max(rows)
-            for r, row in enumerate(rows):
-                one_best, one_inter = _subset_max(row)
-                assert best[r].tolist() == one_best.tolist()
-                assert inter[r].tolist() == one_inter.tolist()
+            best, inter = _subset_max(stack)
+            assert best.shape == inter.shape == stack.shape
+            for c in range(stack.shape[1]):
+                one_best, one_inter = _subset_max(stack[:, c])
+                assert best[:, c].tolist() == one_best.tolist()
+                assert inter[:, c].tolist() == one_inter.tolist()
 
     def test_no_rows(self):
-        best, inter = _subset_max(np.zeros((0, 8), dtype=np.int64))
-        assert best.shape == inter.shape == (0, 8)
+        best, inter = _subset_max(np.zeros((8, 0), dtype=np.int64))
+        assert best.shape == inter.shape == (8, 0)
 
     def test_input_untouched(self):
         vals = np.array([3, 1, 4, 1, 5, 9, 2, 6])
@@ -193,10 +195,14 @@ class TestCfFromOrder:
 def reference_search(n, vmax):
     """The submodular-not-substitutable search, one candidate at a time:
     submodular tables with a least maximizer everywhere whose induced
-    choice breaks heredity, with the first (A, B) that shows it."""
+    choice breaks heredity, with the first (A, B) that shows it and the
+    least element of A that the choice from B keeps and that from A drops.
+    Candidates come in ascending index, the value at mask m being digit m,
+    so the digits run with mask 0 fastest."""
     n_masks = 1 << n
     hits = []
-    for vals in product(range(vmax + 1), repeat=n_masks):
+    for digits in product(range(vmax + 1), repeat=n_masks):
+        vals = digits[::-1]
         if any(vals[a] + vals[b] < vals[a & b] + vals[a | b]
                for a in range(n_masks) for b in range(n_masks)):
             continue
@@ -206,37 +212,75 @@ def reference_search(n, vmax):
         wit = next(((a, b) for a in range(n_masks) for b in range(n_masks)
                     if a & ~b == 0 and table[b] & a & ~table[a]), None)
         if wit is not None:
-            hits.append((vals, wit))
+            a, b = wit
+            element = min(e for e in range(n) if (table[b] & a & ~table[a]) >> e & 1)
+            hits.append((vals, wit, element))
     return hits
 
 
-def recording_survivors(monkeypatch):
-    """Record, per chunk of the scan, how many candidates pass the
-    exchange test."""
-    survivors = []
-    flags = cli._exchange_flags
+def submodular_by_filter(k, base):
+    """Every submodular table over 2^k masks with values below ``base``, as
+    a menu-major stack in ascending candidate index r, whose value at mask
+    m is (r // base**m) % base: each candidate decoded and kept by the
+    exchange test over all pairs of elements."""
+    kept = []
+    total = base ** (1 << k)
+    for start in range(0, total, 1 << 16):
+        r = np.arange(start, min(start + (1 << 16), total))
+        stack = r // base ** np.arange(1 << k)[:, None] % base
+        kept.append(stack[:, supermod._exchange_flags(stack, k)[1]])
+    return np.concatenate(kept, axis=1)
 
-    def recording(t, n):
-        out = flags(t, n)
-        survivors.append(int(out[1].sum()))
+
+def recording_survivors(monkeypatch, n):
+    """Record, per block of the scan, how many joins are submodular: the
+    calls that join halves over n - 1 elements, and not those that build
+    the levels below."""
+    survivors = []
+    join = cli._submodular_join
+
+    def recording(half, gains, start, stop):
+        out = join(half, gains, start, stop)
+        if half.shape[0] == 1 << (n - 1):
+            survivors.append(out.shape[1])
         return out
 
-    monkeypatch.setattr(cli, "_exchange_flags", recording)
+    monkeypatch.setattr(cli, "_submodular_join", recording)
     return survivors
 
 
+class TestSubmodularHalves:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_levels_equal_the_exchange_filter_in_order(self, k):
+        for base in range(1, 7):
+            got = cli._submodular_tables(k, base)
+            assert got.dtype == np.int16
+            assert got.tolist() == submodular_by_filter(k, base).tolist()
+
+    def test_blocks_join_the_level_in_order(self):
+        half = cli._submodular_tables(2, 4)
+        gains, joins = cli._submodular_gains(half), half.shape[1] ** 2
+        for size in (1, 7, 100, half.shape[1], joins):
+            blocks = [cli._submodular_join(half, gains, a, min(a + size, joins)) for a in range(0, joins, size)]
+            assert np.concatenate(blocks, axis=1).tolist() == cli._submodular_tables(3, 4).tolist()
+
+
 class TestSearch:
-    @pytest.mark.parametrize("n, vmax", [(1, 0), (2, 0), (3, 0), (1, 4), (2, 4), (2, 5), (3, 1), (3, 2)])
+    @pytest.mark.parametrize(
+        "n, vmax", [(1, 0), (2, 0), (3, 0), (1, 4), (2, 4), (2, 5), (3, 1), (3, 2), (3, 4)]
+    )
     def test_found_and_matches_unchanged(self, n, vmax):
         want = reference_search(n, vmax)
         found, matches = cli._search_submodular_not_substitutable(n, vmax, None)
         assert found == len(want)
         g = cli._search_ground(n)
-        for match, (vals, (a, b)) in zip(matches, want, strict=True):
-            doc_vals = {tuple(e["subset"]): e["value"] for e in match["set_function"]["values"]}
+        for match, (vals, (a, b), element) in zip(matches, want, strict=True):
+            doc = documents.to_document(match["set_function"])
+            doc_vals = {tuple(e["subset"]): e["value"] for e in doc["values"]}
             assert doc_vals == {tuple(Subset(g, m).sorted_names()): str(v) for m, v in enumerate(vals)}
             assert match["heredity_witness"]["A"] == Subset(g, a).sorted_names()
             assert match["heredity_witness"]["B"] == Subset(g, b).sorted_names()
+            assert match["heredity_witness"]["element"] == g.elements[element]
         limited = cli._search_submodular_not_substitutable(n, vmax, 2)
         assert limited == (min(2, found), matches[:2])
 
@@ -259,31 +303,41 @@ class TestSearch:
     def test_chunk_boundaries_change_nothing(self, monkeypatch, limit):
         whole = cli._search_submodular_not_substitutable(3, 4, limit)
         assert whole[0] == (174 if limit is None else limit)
-        # 125 candidates a chunk: the three low menus vary, the five high
-        # ones are fixed, and some fixed digits leave no candidate standing
+        # 355 submodular tables over two elements give 126,025 joins, in
+        # 1009 blocks of 125; a block that joins upper halves with few
+        # lower ones that dominate their gains can leave no table standing
         monkeypatch.setattr(cli, "_SEARCH_CHUNK", 125)
-        survivors = recording_survivors(monkeypatch)
+        survivors = recording_survivors(monkeypatch, 3)
         assert cli._search_submodular_not_substitutable(3, 4, limit) == whole
-        assert 0 in survivors
+        if limit is None:
+            assert len(survivors) == 1009
+            assert sum(survivors) == 24108
+            assert 0 in survivors
+        else:  # a limited search stops early
+            assert len(survivors) < 1009
 
-    @pytest.mark.parametrize("chunk, chunks", [(1, 1296), (5, 432), (7, 216), (36, 36)])
-    def test_tiny_chunks_scan_every_candidate_once(self, monkeypatch, chunk, chunks):
-        # below 6 candidates a chunk holds values of the first menu alone:
-        # 5 of them and then 1, under each setting of the other three
+    @pytest.mark.parametrize("chunk, blocks", [(1, 1296), (5, 260), (7, 186), (36, 36)])
+    def test_tiny_chunks_scan_every_candidate_once(self, monkeypatch, chunk, blocks):
+        # all 36 tables over one element are submodular, so there are
+        # 1296 joins, ceil(1296 / chunk) blocks of them
         monkeypatch.setattr(cli, "_SEARCH_CHUNK", chunk)
-        survivors = recording_survivors(monkeypatch)
+        survivors = recording_survivors(monkeypatch, 2)
         assert cli._search_submodular_not_substitutable(2, 5, None) == (0, [])
-        assert len(survivors) == chunks
+        assert len(survivors) == blocks
         assert sum(survivors) == sum(
             all(v[a] + v[b] >= v[a & b] + v[a | b] for a in range(4) for b in range(4))
             for v in product(range(6), repeat=4)
         )
 
     def test_chunks_without_survivors_at_value_max_5(self, monkeypatch):
-        survivors = recording_survivors(monkeypatch)
+        # every block of at least 721 joins holds a table joined with
+        # itself, which is submodular; blocks of 125 can hold none
+        monkeypatch.setattr(cli, "_SEARCH_CHUNK", 125)
+        survivors = recording_survivors(monkeypatch, 3)
         found, matches = cli._search_submodular_not_substitutable(3, 5, None)
         # recorded from the per-candidate decode
         assert found == len(matches) == 1476
+        assert len(survivors) == 4159
         assert 0 in survivors
 
 
