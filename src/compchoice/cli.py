@@ -607,6 +607,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     if limit is not None and limit < 1:
         _emit(f"error: --limit must be at least 1, got {limit}")
         return EXIT_INPUT
+    # ask for one match more than the limit, so that (stopped at limit)
+    # means some match was left out; a scan stops at that next match
+    probe = None if limit is None else limit + 1
     if args.pattern == "submodular-not-substitutable":
         if args.predicate is not None:
             _emit("error: --predicate applies only to --pattern custom-predicate")
@@ -619,7 +622,7 @@ def cmd_search(args: argparse.Namespace) -> int:
                 f"give at most {_SEARCH_MAX_ROWS} candidate tables, (value_max+1)^(2^n)"
             )
             return EXIT_INPUT
-        found, matches = _search_submodular_not_substitutable(n, vmax, limit)
+        found, matches = _search_submodular_not_substitutable(n, vmax, probe)
     else:
         if args.value_max is not None:
             _emit("error: --value-max applies only to --pattern submodular-not-substitutable")
@@ -627,8 +630,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         if not args.predicate:
             _emit("error: --predicate is required with the custom-predicate pattern")
             return EXIT_INPUT
-        found, matches = _search_custom(n, args.predicate, limit)
-    truncated = limit is not None and found >= limit
+        found, matches = _search_custom(n, args.predicate, probe)
+    truncated = limit is not None and found > limit
+    if truncated:
+        found, matches = limit, matches[:limit]
     if args.format == "json":
         _emit(
             documents._canonical_text(

@@ -7,15 +7,28 @@ a canonical dump and dumping again reproduces it byte for byte. The text is
 what ``json.dumps(doc, ensure_ascii=False, indent=2)`` writes, produced by
 ``_canonical_text``; ``dumps`` writes the same text for choice tables and
 set functions straight from their arrays.
+
+``loads`` (and so ``load_path``) and ``dumps`` run with CPython's cyclic
+garbage collector paused. A large document is a tree of millions of lists
+and dicts, and the collector would walk it again and again as it grows, to
+find no garbage: JSON trees and document dicts hold no reference cycles,
+so reference counting frees them before the pause ends. The pause's
+allocations still count toward the young generation, so one collection
+may start right after it, over what the call keeps. The collector is
+switched back on only if it was on when the call began; so if another
+thread calls ``gc.disable()`` during a pause, the collector is on again
+when the pause ends.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
 import stat
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -37,6 +50,22 @@ from .latticecf import LatticeCF, LatticeFunction
 from .pretop import NeighborhoodSystem
 from .supermod import _INT64_GUARD, SetFunction
 from .transport import Lift, PointMap, ideal_image
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the body with the cyclic garbage collector off, and switch it
+    back on afterwards, also on an exception, if it was on before. A body
+    that makes reference cycles leaves them for the first collection after
+    the pause. A ``gc.disable()`` that another thread calls during the
+    pause is undone when it ends."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def _fail(msg: str) -> None:
@@ -708,18 +737,30 @@ def _setfn_text(u: SetFunction) -> str:
 def dumps(obj: Any) -> str:
     """Canonical text form of an object or an already-built document dict,
     ``_canonical_text(to_document(obj))``; a choice table or a set function
-    is written straight from its array, with no document built."""
-    return _canonical_text(obj if isinstance(obj, (dict, *_DOCUMENT_TYPES)) else to_document(obj)) + "\n"
+    is written straight from its array, with no document built. Runs
+    with the cyclic collector paused (see the module docstring)."""
+    with _collector_paused():
+        return _canonical_text(obj if isinstance(obj, (dict, *_DOCUMENT_TYPES)) else to_document(obj)) + "\n"
 
 
 def loads(text: str) -> Any:
+    """The object a document's text describes. Parsing and building run
+    with the cyclic collector paused (see the module docstring), so an
+    n = 18 choice table parses in about a quarter of the time. The
+    collector is back on afterwards only if it was on before, so a
+    ``gc.disable()`` that another thread calls during the load is undone."""
+    with _collector_paused():
+        # the tree is a temporary, freed before the collector resumes
+        return from_document(_json_tree(text))
+
+
+def _json_tree(text: str) -> Any:
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except RecursionError:
         _fail("not valid JSON: arrays or objects nested too deeply")
     except ValueError as exc:  # also an integer literal beyond int's digit limit
         _fail(f"not valid JSON: {exc}")
-    return from_document(doc)
 
 
 def load_path(path: str) -> Any:

@@ -600,6 +600,28 @@ class TestSearch:
         assert code == 2
         assert out == f"error: --limit must be at least 1, got {limit}\n"
 
+    @pytest.mark.parametrize("argv, total", [
+        (["--pattern", "custom-predicate", "--n", "1", "--predicate", "consistent"], 2),
+        (["--pattern", "submodular-not-substitutable", "--n", "3"], 174),
+    ])
+    @pytest.mark.parametrize("cut", [0, 1])
+    def test_stopped_at_limit_only_when_a_match_is_left_out(self, capsys, argv, total, cut):
+        # at exactly `total` matches nothing is cut off; at one fewer, one is
+        limit = total - cut
+        code, full = run(capsys, "search", *argv, "--format", "json")
+        assert code == 0
+        code, out = run(capsys, "search", *argv, "--limit", limit, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["found"] == len(payload["matches"]) == limit
+        assert payload["stopped_at_limit"] is bool(cut)
+        assert payload["matches"] == json.loads(full)["matches"][:limit]
+        code, out = run(capsys, "search", *argv, "--limit", limit)
+        assert code == 0
+        tail = " (stopped at limit)" if cut else ""
+        assert out.splitlines()[-1] == f"pattern {argv[1]} at n={argv[3]}: {limit} match(es){tail}"
+        assert len(out.splitlines()) == limit + 1
+
     def test_missing_predicate_exits_two(self, capsys):
         code, _ = run(capsys, "search", "--pattern", "custom-predicate", "--n", "2")
         assert code == 2

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import errno
+import gc
 import io
 import json
 import os
@@ -989,3 +990,82 @@ class TestSurrogateNames:
         names[-1] += "\ud800"
         with pytest.raises(DocumentError, match=rf"^{field[-1]} holds a name with a lone surrogate"):
             documents.loads(json.dumps(doc))
+
+
+@pytest.fixture
+def collector_restored():
+    """Whatever a test does to the cyclic collector, it is on afterwards
+    if it was on before."""
+    was_on = gc.isenabled()
+    try:
+        yield
+    finally:
+        (gc.enable if was_on else gc.disable)()
+
+
+def _load_and_dump_calls(tmp_path):
+    """Each load or dump path, as (name, call, the exception it raises)."""
+    f = get_fixture("overlapping-pairs-cf")
+    good, bad_utf8, deep = (tmp_path / n for n in ("good.json", "bad.json", "deep.json"))
+    good.write_text(documents.dumps(f), encoding="utf-8")
+    bad_utf8.write_bytes(b'{"kind": "family", "ground": ["\xff"], "members": []}')
+    deep.write_text("[" * 200000, encoding="utf-8")
+    return [
+        ("loads", lambda: documents.loads(documents.dumps(f)), None),
+        ("load_path", lambda: documents.load_path(str(good)), None),
+        ("dumps", lambda: documents.dumps(f), None),
+        ("dumps of a dict", lambda: documents.dumps(documents.to_document(f)), None),
+        ("document error", lambda: documents.loads('{"kind": "mystery"}'), DocumentError),
+        ("bad JSON", lambda: documents.loads("{nope"), DocumentError),
+        ("deep nesting", lambda: documents.loads("[" * 200000), DocumentError),
+        ("deep nesting from a path", lambda: documents.load_path(str(deep)), DocumentError),
+        ("bad UTF-8", lambda: documents.load_path(str(bad_utf8)), DocumentError),
+        ("no document form", lambda: documents.dumps(object()), TypeError),
+    ]
+
+
+@pytest.mark.usefixtures("collector_restored")
+class TestCollectorPause:
+    """``loads`` and ``dumps`` pause the cyclic collector and leave it as
+    they found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_unchanged(self, tmp_path, enabled):
+        (gc.enable if enabled else gc.disable)()
+        for name, call, raises in _load_and_dump_calls(tmp_path):
+            if raises is None:
+                call()
+            else:
+                with pytest.raises(raises):
+                    call()
+            assert gc.isenabled() is enabled, name
+
+    def test_n11_load_collects_nothing_while_the_tree_lives(self, monkeypatch):
+        # the pause's allocations still count toward the young generation,
+        # so the first allocation after it may start one collection; the
+        # tree is freed by then, so it walks only what the load keeps
+        f = random_complementary_cf(GroundSet(tuple(f"x{i}" for i in range(11))), random.Random(11))
+        text = documents.dumps(f)
+        collections, at_build = [], []
+        build = documents.from_document
+
+        def spy(doc):
+            obj = build(doc)
+            at_build.append((gc.isenabled(), len(collections)))
+            return obj
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        monkeypatch.setattr(documents, "from_document", spy)
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            loaded = documents.loads(text)
+        finally:
+            gc.callbacks.remove(count)
+        assert loaded == f
+        assert at_build == [(False, 0)]
+        assert len(collections) <= 1
+        assert gc.isenabled()
