@@ -59,6 +59,7 @@ from .pretop import (
     preorder_from_cf,
 )
 from .supermod import (
+    MAX_DENOMINATOR_BITS,
     ModularityClass,
     SetFunction,
     _subset_max,
@@ -383,6 +384,10 @@ def cmd_convert(args: argparse.Namespace) -> int:
             return EXIT_INPUT
         if epsilon <= 0:
             _emit("error: --epsilon must be positive")
+            return EXIT_INPUT
+        bits = epsilon.denominator.bit_length()
+        if bits > MAX_DENOMINATOR_BITS:  # refused before the input is read
+            _emit(f"error: --epsilon has a {bits}-bit denominator; exact values allow {MAX_DENOMINATOR_BITS} bits")
             return EXIT_INPUT
     obj = documents.load_path(args.input)
     target = args.to

@@ -144,16 +144,17 @@ def _subset_key(s: Subset) -> list[str]:
 
 
 class _SubsetCodec:
-    """Every subset of one ground set in its document form, for the tables
-    that list all 2^n of them. A ground set holds one
+    """Every subset of one ground set in its document form, for writing the
+    tables that list all 2^n of them. A ground set holds one
     (``GroundSet._codec``), so the writer renders each subset's name array
-    once however often tables over that ground set are written.
+    once however often tables over that ground set are written; loading
+    reads names by their bits (``_subset_masks``) and builds no codec.
 
     ``order`` lists the masks sorted by their alphabetically sorted name
     tuples (the canonical entry order), ``texts[m]`` is the name array of
     mask m as a table entry prints it, and ``names()`` builds the name
-    tuples afresh on each call, for the dict form and for a load's
-    ``_SubsetReader``. In a rank mask, bit j stands for the j-th name in
+    tuples afresh on each call, for the dict-form writers ``cf_to_doc``
+    and ``setfn_to_doc``. In a rank mask, bit j stands for the j-th name in
     alphabetical order, so the tuple and text of a rank mask holding j as
     its top bit are those of the rank mask without it, with that name
     added at the end.
@@ -179,6 +180,7 @@ class _SubsetCodec:
         return order.tolist()
 
     def names(self) -> list[tuple[str, ...]]:
+        """Each mask's alphabetically sorted name tuple, for the dict form."""
         by_rank: list[tuple[str, ...]] = [()]
         for x in self._alphabetical:
             by_rank += [t + (x,) for t in by_rank]
@@ -195,38 +197,36 @@ class _SubsetCodec:
         return ["[" + tails[r][1:] + "\n      ]" if r else "[]" for r in self._rank.tolist()]
 
 
-class _SubsetReader:
-    """The masks of name arrays, for one table load; its lookup of every
-    canonical array is freed with it when the load ends."""
-
-    def __init__(self, ground: GroundSet) -> None:
-        names = ground._codec.names()
-        self.ground = ground
-        self._masks = dict(zip(names, range(len(names))))
-
-    def mask_of(self, val: Any, where: str) -> int:
-        """The mask of a name array: a canonical one by lookup, any other
-        through ``_load_subset``, which accepts or refuses it as before."""
-        if type(val) is list:
-            try:
-                return self._masks[tuple(val)]
-            except (KeyError, TypeError):  # not canonical, or unhashable entries
-                pass
-        return _load_subset(self.ground, val, where).bits
-
-    def masks(self, entries: list, key: str) -> np.ndarray | None:
-        """The masks of the name arrays ``entry[key]``, read in one pass of
-        lookups; None unless every entry is an object whose array there is
-        canonical."""
-        if set(map(type, entries)) != {dict}:
+def _subset_masks(ground: GroundSet, entries: list, key: str) -> np.ndarray | None:
+    """The masks of the name arrays ``entry[key]``, as ``GroundSet.subset``
+    reads them (any order, repeats allowed): each name's bit, ORed over its
+    array by one ``reduceat`` at the arrays' starts. None unless every entry
+    is an object whose array there holds only names of the ground set."""
+    if set(map(type, entries)) != {dict}:
+        return None
+    try:
+        arrays = list(map(itemgetter(key), entries))
+        if set(map(type, arrays)) != {list}:  # a string or an object is no name array
             return None
-        try:
-            arrays = list(map(itemgetter(key), entries))
-            if set(map(type, arrays)) != {list}:  # a string or an object is no name array
-                return None
-            return np.fromiter(map(self._masks.__getitem__, map(tuple, arrays)), np.int64, len(arrays))
-        except (KeyError, TypeError):  # a missing field, an unknown or unhashable array
-            return None
+        bit = {x: 1 << i for i, x in enumerate(ground.elements)}
+        sizes = np.fromiter(map(len, arrays), np.int64, len(arrays))
+        # a trailing 0 keeps every start in range, and is the OR of an empty last array
+        flat = chain(map(bit.__getitem__, chain.from_iterable(arrays)), (0,))
+        bits = np.fromiter(flat, np.int64, int(sizes.sum()) + 1)
+    except (KeyError, TypeError):  # a missing field, an unknown name or an unhashable entry
+        return None
+    masks = np.bitwise_or.reduceat(bits, np.cumsum(sizes) - sizes)
+    masks[sizes == 0] = 0  # reduceat reads an empty array's start as the next array's first bit
+    return masks
+
+
+def _exact_values(cls: type, domain: Any, values: Any) -> Any:
+    """``cls(domain, values)``, a set or lattice function, with a common
+    denominator over the bound refused as a document error."""
+    try:
+        return cls(domain, values)
+    except ValueError as exc:
+        _fail(f"values: {exc}")
 
 
 def load_rational(val: Any, where: str) -> Fraction:
@@ -308,8 +308,7 @@ def cf_from_doc(doc: Mapping) -> ChoiceFunction:
     ground = _load_ground(doc)
     ensure_tractable(ground.n, what="choice table")
     entries = _expect_list(doc, "table")
-    reader = _SubsetReader(ground)
-    menus, choices = reader.masks(entries, "menu"), reader.masks(entries, "choice")
+    menus, choices = _subset_masks(ground, entries, "menu"), _subset_masks(ground, entries, "choice")
     if menus is not None and choices is not None:
         table = np.zeros(ground.n_masks, dtype=np.int64)
         table[menus] = choices
@@ -322,8 +321,8 @@ def cf_from_doc(doc: Mapping) -> ChoiceFunction:
             _fail(f"table[{i}] must be an object with 'menu' and 'choice'")
         if "menu" not in entry or "choice" not in entry:
             _fail(f"table[{i}] must carry both 'menu' and 'choice'")
-        menu = reader.mask_of(entry["menu"], f"table[{i}].menu")
-        choice = reader.mask_of(entry["choice"], f"table[{i}].choice")
+        menu = _load_subset(ground, entry["menu"], f"table[{i}].menu").bits
+        choice = _load_subset(ground, entry["choice"], f"table[{i}].choice").bits
         if table[menu] is not None:
             _fail(f"table[{i}]: duplicate menu {Subset(ground, menu)!r}")
         if choice & ~menu:
@@ -396,21 +395,20 @@ def setfn_from_doc(doc: Mapping) -> SetFunction:
     ground = _load_ground(doc)
     ensure_tractable(ground.n, what="set-function table")
     entries = _expect_list(doc, "values")
-    reader = _SubsetReader(ground)
-    subsets = reader.masks(entries, "subset")
+    subsets = _subset_masks(ground, entries, "subset")
     if subsets is not None:
         seen = np.bincount(subsets, minlength=ground.n_masks)
         raw = _bulk_values(entries) if seen[0] <= 1 and (seen[1:] == 1).all() else None
         if raw is not None:
             by_mask = np.zeros(ground.n_masks, dtype=object)  # the empty set may be omitted
             by_mask[subsets] = raw
-            return SetFunction(ground, by_mask)
+            return _exact_values(SetFunction, ground, by_mask)
     # anything else is read entry by entry, which names the first bad one
     values: list[int | Fraction | None] = [None] * ground.n_masks
     for i, entry in enumerate(entries):
         if not isinstance(entry, Mapping) or "subset" not in entry or "value" not in entry:
             _fail(f"values[{i}] must be an object with 'subset' and 'value'")
-        s = reader.mask_of(entry["subset"], f"values[{i}].subset")
+        s = _load_subset(ground, entry["subset"], f"values[{i}].subset").bits
         if values[s] is not None:
             _fail(f"values[{i}]: duplicate subset {Subset(ground, s)!r}")
         values[s] = _load_value(entry["value"], f"values[{i}].value")
@@ -424,7 +422,7 @@ def setfn_from_doc(doc: Mapping) -> SetFunction:
             f"values cover {ground.n_masks - len(missing)} of {ground.n_masks} "
             f"subsets; e.g. {Subset(ground, missing[0])!r} is missing"
         )
-    return SetFunction(ground, tuple(values))
+    return _exact_values(SetFunction, ground, tuple(values))
 
 
 def neighborhood_system_to_doc(system: NeighborhoodSystem) -> dict:
@@ -579,7 +577,7 @@ def lattice_fn_from_doc(doc: Mapping) -> LatticeFunction:
     extra = [x for x in values if x not in lattice.elems]
     if extra:
         _fail(f"values assigned to unknown element {extra[0]!r}")
-    return LatticeFunction(lattice, tuple(values[x] for x in lattice.elems))
+    return _exact_values(LatticeFunction, lattice, tuple(values[x] for x in lattice.elems))
 
 
 def _strip_kind(doc: dict) -> dict:

@@ -44,6 +44,21 @@ from .pretop import _require_complementary, open_sets
 
 _INT64_GUARD = 1 << 61
 
+# The common denominator of a table's values may have at most this many
+# bits; it is checked as values are read in and before ``perturb`` scales
+# them. Distinct denominators make it grow with every value, and each
+# numerator with it.
+MAX_DENOMINATOR_BITS = 1024
+
+
+def _denominator_error(what: str, v: Fraction) -> ValueError:
+    """The refusal of ``v``, which takes a common denominator over
+    ``MAX_DENOMINATOR_BITS`` bits; a long value is cut to 40 characters."""
+    text = str(v)
+    if len(text) > 40:
+        text = text[:40] + "..."
+    return ValueError(f"{what} {text} takes the common denominator over {MAX_DENOMINATOR_BITS} bits")
+
 
 def _as_fraction(v) -> Fraction:
     if isinstance(v, (float, np.floating)):
@@ -68,14 +83,19 @@ class _ExactValues:
     ``values``, as Fractions, is built when first read."""
 
     def __init__(self, values: Sequence, size: int, what: str) -> None:
-        """Keep Python ints as they are and anything else through Fractions."""
+        """Keep Python ints as they are and anything else through Fractions.
+        A common denominator over ``MAX_DENOMINATOR_BITS`` bits is refused
+        with the first value that takes it there."""
         values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
         if len(values) != size:
             raise ValueError(f"one value per {what} required")
         ints, denom = values, 1
         if not set(map(type, values)) <= {int}:  # Python ints skip Fractions
             fracs = tuple(v if type(v) is Fraction else _as_fraction(v) for v in values)
-            denom = math.lcm(*{v.denominator for v in fracs})
+            for q in dict.fromkeys(v.denominator for v in fracs):  # in order of first use
+                denom = math.lcm(denom, q)
+                if denom.bit_length() > MAX_DENOMINATOR_BITS:  # before any numerator is scaled
+                    raise _denominator_error("the value", next(v for v in fracs if v.denominator == q))
             ints = [v.numerator * (denom // v.denominator) for v in fracs]
             self.__dict__["values"] = fracs
         self._init(ints, denom)
@@ -239,29 +259,23 @@ def _modularity_breaks(o: Order) -> tuple[Callable[..., np.ndarray], ...]:
 _BREAKS = _modularity_breaks(POWERSET_ORDER)
 
 
-def _exchange_flags(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(is_supermodular, is_submodular) of the table t, or per column of a
-    menu-major (2^n, R) stack of tables: for each i < j, one array holds
-    u(S+i+j) - u(S+i) - u(S+j) + u(S) over all S avoiding both, exact in
-    int64 when |t| < 2^61; it is >= 0 if supermodular, <= 0 if submodular."""
-    rest = t.shape[1:]
-    # one table's flags are numpy bools, which bool() reads at no numpy
-    # call's cost; a stack's are arrays
-    is_super, is_sub = np.ones(rest, dtype=bool)[()], np.ones(rest, dtype=bool)[()]
-    some = np.any if rest else bool
+def _exchange_flags(t: np.ndarray, n: int) -> tuple[bool, bool]:
+    """(is_supermodular, is_submodular) of the table t: for each i < j, one
+    array holds u(S+i+j) - u(S+i) - u(S+j) + u(S) over all S avoiding both,
+    exact in int64 when |t| < 2^61; it is >= 0 if supermodular, <= 0 if
+    submodular."""
+    is_super = is_sub = True
     for i in range(n - 1):
-        v = t.reshape(-1, 2, 1 << i, *rest)
+        v = t.reshape(-1, 2, 1 << i)
         # the gain of adding i, per mask without bit i; higher bits move down one
-        gain = (v[:, 1] - v[:, 0]).reshape(-1, *rest)
+        gain = (v[:, 1] - v[:, 0]).reshape(-1)
         for j in range(i, n - 1):
-            g = gain.reshape(-1, 2, 1 << j, *rest)
+            g = gain.reshape(-1, 2, 1 << j)
             second = g[:, 1] - g[:, 0]
-            if some(is_super):
-                is_super &= second.min(axis=(0, 1)) >= 0
-            if some(is_sub):
-                is_sub &= second.max(axis=(0, 1)) <= 0
-            if not (some(is_super) or some(is_sub)):
-                return is_super, is_sub
+            is_super = is_super and bool(second.min() >= 0)
+            is_sub = is_sub and bool(second.max() <= 0)
+            if not (is_super or is_sub):
+                return False, False
     return is_super, is_sub
 
 
@@ -313,13 +327,16 @@ def default_epsilon(ground: GroundSet) -> Fraction:
 
 def perturb(u: SetFunction, eps: Fraction | int) -> SetFunction:
     """Subtract eps times the cardinality; modularity of cardinality keeps
-    every modularity class intact. Requires eps > 0."""
+    every modularity class intact. Requires eps > 0, and a common
+    denominator of u and eps within ``MAX_DENOMINATOR_BITS``."""
     eps = _as_fraction(eps)
     if eps <= 0:
         raise ValueError("perturbation rate must be positive")
-    card = _modular(u.ground, [1] * u.ground.n)
     # u - eps |m| = (ints q - p d |m|) / (d q) for u = ints / d, eps = p / q
     p, q, d = eps.numerator, eps.denominator, u._denom
+    if (d * q).bit_length() > MAX_DENOMINATOR_BITS:
+        raise _denominator_error("the perturbation rate", eps)
+    card = _modular(u.ground, [1] * u.ground.n)
     return SetFunction._of(u.ground, _exact_sum((u._scaled_ints, q), (card, -p * d)), d * q)
 
 
@@ -343,7 +360,7 @@ def _subset_max(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Subset-max transform along the first axis of ``vals``, 2^n values
     per column (int64, or object for exact big ints): one table, or a
-    menu-major (2^n, R) stack of R tables, as ``_exchange_flags`` takes.
+    menu-major (2^n, R) stack of R tables, as the submodular search builds.
 
     Returns ``best``, the maximum of ``vals`` over the submasks of each
     mask, and ``tied``, ``op`` reduced over the submasks attaining it:

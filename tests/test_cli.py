@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import copy
 import functools
@@ -7,14 +8,17 @@ import itertools
 import json
 import random
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compchoice import ChoiceFunction, GroundSet, cli, documents, is_supermodular_order, order_from_setfn, synthesize
+from compchoice import ChoiceFunction, GroundSet, Subset, cli, documents, is_supermodular_order, order_from_setfn, synthesize
 from compchoice.cli import main
 from compchoice.enumeration import random_complementary_cf
+from compchoice.errors import DocumentError
 from compchoice.fixtures import get_fixture, get_fixture_document, submodular_counterexample
 from compchoice.latticecf import synthesize as synthesize_lattice
 from compchoice.pretop import neighborhood_system_of
@@ -928,3 +932,68 @@ class TestOrderDocumentSize:
         code, _ = run(capsys, "verify", path)
         assert code == 0
         assert time.perf_counter() - start < 2
+
+
+def prime_denominator_document(n):
+    """A set function over n elements whose value at mask m is 1/p_m, for
+    the distinct primes p_m after 10^6: its common denominator would grow
+    by about 20 bits with every value."""
+    sieve = np.ones(1_100_000, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, 1049):
+        sieve[p * p :: p] = False
+    primes = np.flatnonzero(sieve[1_000_000:]) + 1_000_000
+    ground = GroundSet(tuple(f"x{i}" for i in range(n)))
+    values = [{"subset": Subset(ground, m).sorted_names(), "value": f"1/{p}"} for m, p in enumerate(primes[: 1 << n])]
+    return {"kind": "set_function", "ground": list(ground.elements), "values": values}
+
+
+class TestExactValueBound:
+    """A common denominator over ``MAX_DENOMINATOR_BITS`` bits is refused at
+    the first value that passes it, before any numerator is scaled."""
+
+    MESSAGE = "input error: values: the value 1/1000667 takes the common denominator over 1024 bits\n"
+
+    def test_prime_denominators_refused_quickly(self, tmp_path, capsys):
+        doc = prime_denominator_document(12)
+        text = json.dumps(doc)
+        start = time.perf_counter()
+        with pytest.raises(DocumentError) as exc:
+            documents.loads(text)
+        assert time.perf_counter() - start < 0.5
+        assert f"input error: {exc.value}\n" == self.MESSAGE
+        # entries read one by one reach the same refusal
+        doc["values"][0] = collections.OrderedDict(doc["values"][0])
+        with pytest.raises(DocumentError, match=str(exc.value)):
+            documents.from_document(doc)
+        path = tmp_path / "u.json"
+        path.write_text(text, encoding="utf-8")
+        start = time.perf_counter()
+        assert run(capsys, "verify", path) == (2, self.MESSAGE)
+        assert time.perf_counter() - start < 0.5
+
+    def test_lattice_function_refused(self, tmp_path, capsys):
+        lattice = documents.to_document(get_fixture("divisors-12-lattice"))
+        doc = {"kind": "lattice_function", "lattice": {k: v for k, v in lattice.items() if k != "kind"},
+               "values": [[x, f"1/{2 ** (1020 + i)}"] for i, x in enumerate(lattice["elems"])]}
+        path = tmp_path / "lf.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(capsys, "verify", path)
+        assert code == 2 and out.count("\n") == 1
+        assert out.startswith("input error: values: the value 1/") and out.endswith("... takes the common denominator over 1024 bits\n")
+        doc["values"] = [[x, f"1/{2 ** 1023}"] for x in lattice["elems"]]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(capsys, "verify", path)[0] == 0
+
+    def test_long_epsilon_refused_before_the_load(self, tmp_path, capsys):
+        src = write_fixture(tmp_path, "overlapping-pairs-cf")
+        for eps, code in ((f"1/{10 ** 4000}", 2), (f"1/{2 ** 1024}", 2), (f"1/{2 ** 1023}", 0), ("1/1000", 0)):
+            start = time.perf_counter()
+            got, out = run(capsys, "convert", src, "--to", "setfn", "--perturb", "--epsilon", eps)
+            assert got == code and time.perf_counter() - start < 0.5
+            if code == 2:
+                bits = Fraction(eps).denominator.bit_length()
+                assert out == f"error: --epsilon has a {bits}-bit denominator; exact values allow 1024 bits\n"
+        # refused before the input is read, so a missing input is not reached
+        got, out = run(capsys, "convert", tmp_path / "missing.json", "--to", "setfn", "--perturb", "--epsilon", f"1/{10 ** 4000}")
+        assert got == 2 and out.startswith("error: --epsilon has a 13288-bit denominator")

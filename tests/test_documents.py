@@ -498,8 +498,8 @@ def _slow_setfn_from_doc(doc):
     return SetFunction(ground, values)
 
 
-# edits of one name array: each result is not canonical, so the loader reads
-# it through ``_load_subset``
+# edits of one name array: the loader must reach the object or the message
+# that reading each array through ``_load_subset`` reaches
 ARRAY_EDITS = {
     "unsorted": lambda names: names[::-1],
     "repeated name": lambda names: names + names[:1],
@@ -635,14 +635,61 @@ class TestCodecLoader:
         assert GroundSet(("b", "a"))._codec is not GroundSet(("b", "a"))._codec
 
     def test_load_keeps_no_name_lookup(self):
-        # the lookup a load reads name arrays with is freed with the load;
-        # the ground set keeps only what the writer uses
+        # a load reads names by their bits and builds no codec; the ground
+        # set gets one only when a table over it is written, and keeps only
+        # what the writer uses
         f = interior_cf(SetFamily.of(GroundSet(("b", "a", "c")), [("a", "b"), ("b", "c")]))
         for obj in (f, synthesize_setfn(f)):
             loaded = documents.loads(documents.dumps(obj))
-            assert set(vars(loaded.ground._codec)) == {"ground", "_alphabetical", "_rank"}
+            assert "_codec" not in vars(loaded.ground)
             documents.dumps(loaded)
             assert set(vars(loaded.ground._codec)) == {"ground", "_alphabetical", "_rank", "order", "texts"}
+
+    @pytest.mark.parametrize("n", [5, 11])
+    def test_runs_of_empty_arrays(self, n, monkeypatch):
+        # a packaged table chooses nothing from most menus, so its choices
+        # hold runs of empty arrays: reversed, the empty menu and a run of
+        # empty choices come last; shuffled, runs sit anywhere. Names are
+        # reordered and repeated, and the whole table is still read in bulk.
+        ground = GroundSet(tuple(f"x{i}" for i in range(n)))
+        rng = random.Random(n)
+        for bundle in (ground.full(), ground.subset(rng.sample(ground.elements, n // 2))):
+            f = packaged(bundle)
+            for obj, key, fields in ((f, "table", ("menu", "choice")), (synthesize_setfn(f), "values", ("subset",))):
+                load, slow = {"table": (documents.cf_from_doc, _slow_cf_from_doc),
+                              "values": (documents.setfn_from_doc, _slow_setfn_from_doc)}[key]
+                for order in ("reversed", "shuffled"):
+                    doc = documents.to_document(obj)
+                    entries = doc[key]
+                    entries.reverse() if order == "reversed" else rng.shuffle(entries)
+                    for entry in entries:
+                        for field in fields:
+                            entry[field] = entry[field][::-1] + entry[field][:1]
+                    assert sum(not e[fields[-1]] for e in entries) >= (1 if key == "values" else n)
+                    want = slow(doc)
+                    with monkeypatch.context() as m:
+                        m.setattr(documents, "_load_subset", None)  # no entry is read on its own
+                        got = load(doc)
+                    assert got == want == obj
+                    if key == "values":
+                        assert got.values == want.values
+
+    def test_empty_ground_set(self):
+        ground = GroundSet(())
+        cf_doc = documents.to_document(ChoiceFunction(ground, (0,)))
+        assert cf_doc["table"] == [{"menu": [], "choice": []}]
+        docs = [(cf_doc, documents.cf_from_doc, _slow_cf_from_doc)]
+        for values in ([{"subset": [], "value": "3"}], []):  # the empty set may be omitted
+            docs.append(({"kind": "set_function", "ground": [], "values": values},
+                         documents.setfn_from_doc, _slow_setfn_from_doc))
+        docs.append(({**cf_doc, "table": []}, documents.cf_from_doc, _slow_cf_from_doc))
+        outcomes = set()
+        for doc, load, slow in docs:
+            fast, want = _outcome(load, doc), _outcome(slow, doc)
+            assert fast == want
+            outcomes.add(fast[0])
+        assert outcomes == {"ok", "error"}
+        assert documents.loads(documents.dumps(docs[0][0])).table == (0,)
 
     # whole-table edits: each must reach the oracle's object or its message
     @staticmethod

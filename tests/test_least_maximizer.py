@@ -30,7 +30,7 @@ from compchoice import (
     random_supermodular,
     synthesize,
 )
-from compchoice import cli, documents, supermod
+from compchoice import cli, documents
 from compchoice.enumeration import random_family
 from compchoice.errors import NoUniqueMinimizerError
 from compchoice.supermod import _INT64_GUARD, SetFunction, _subset_max, default_epsilon
@@ -222,13 +222,20 @@ def submodular_by_filter(k, base):
     """Every submodular table over 2^k masks with values below ``base``, as
     a menu-major stack in ascending candidate index r, whose value at mask
     m is (r // base**m) % base: each candidate decoded and kept by the
-    exchange test over all pairs of elements."""
+    exchange test u(S+i) + u(S+j) >= u(S) + u(S+i+j) over all pairs of
+    elements and all S avoiding both, one column per candidate."""
     kept = []
     total = base ** (1 << k)
     for start in range(0, total, 1 << 16):
         r = np.arange(start, min(start + (1 << 16), total))
         stack = r // base ** np.arange(1 << k)[:, None] % base
-        kept.append(stack[:, supermod._exchange_flags(stack, k)[1]])
+        sub = np.ones(stack.shape[1], dtype=bool)
+        for i, j in combinations(range(k), 2):
+            bi, bj = 1 << i, 1 << j
+            for s in range(1 << k):
+                if not s & (bi | bj):
+                    sub &= stack[s | bi] + stack[s | bj] >= stack[s] + stack[s | bi | bj]
+        kept.append(stack[:, sub])
     return np.concatenate(kept, axis=1)
 
 

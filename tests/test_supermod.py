@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -303,9 +304,8 @@ class TestExchangeCriterion:
         assert checked > 6600 and big == 12
 
     def test_per_column_flags_match_classify(self):
-        # the searches read the test per column of a menu-major stack, in
-        # int16; each column must get classify's flags, at every n the
-        # exchange steps cover, including n = 1 with no steps at all
+        # each table, in int64 and in int16, must get classify's flags, at
+        # every n the exchange steps cover, including n = 1 with no steps
         rng = random.Random(42)
         kinds = set()
         for n in range(1, 7):
@@ -317,12 +317,10 @@ class TestExchangeCriterion:
             for vals in near:
                 vals[rng.randrange(1 << n)] += rng.choice((-1, 1))
             fns += [SetFunction(g, vals) for vals in near]
-            stack = np.stack([u._scaled_ints for u in fns], axis=1)
             want = [(classify(u).is_supermodular, classify(u).is_submodular) for u in fns]
             for dtype in (np.int64, np.int16):
-                is_super, is_sub = supermod._exchange_flags(stack.astype(dtype), n)
-                assert is_super.shape == is_sub.shape == (len(fns),)
-                assert list(zip(is_super.tolist(), is_sub.tolist())) == want
+                got = [supermod._exchange_flags(u._scaled_ints.astype(dtype), n) for u in fns]
+                assert got == want
             kinds |= {ModularityClass.kind_of(*w) for w in want}
         assert kinds == {"supermodular", "submodular", "modular", "neither"}
 
@@ -422,6 +420,33 @@ class TestPerturb:
 
     def test_default_epsilon(self, abc):
         assert default_epsilon(abc) == Fraction(1, 4)
+
+    def test_denominator_bound(self, abc):
+        zero = SetFunction(ground(16), [0] * (1 << 16))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^the perturbation rate 1/10{37}\.\.\. takes the common denominator over 1024 bits$"):
+            perturb(zero, Fraction(1, 10**4000))
+        assert time.perf_counter() - start < 0.5
+        assert perturb(SetFunction(abc, [0] * 8), Fraction(1, 2**1023))._denom == 2**1023
+        fine = SetFunction(abc, [Fraction(1, 2**1020)] + [0] * 7)
+        assert perturb(fine, Fraction(1, 8)).value(7) == -Fraction(3, 8)
+        with pytest.raises(ValueError, match="perturbation rate 1/16 takes"):
+            perturb(fine, Fraction(1, 16))  # the result's denominator would be 2^1024
+        # the package's own rates are far inside the bound at the cap
+        g = ground(20)
+        u = SetFunction._of(g, np.zeros(1 << 20, dtype=np.int64), 1)
+        for eps in (default_epsilon(g), Fraction(1, 1000)):
+            assert perturb(u, eps)._denom == eps.denominator
+
+
+class TestDenominatorBound:
+    def test_first_value_that_passes_is_named(self, abc):
+        # lcm(2^1022, 3) has 1024 bits; the 5 takes it past them
+        vals = [Fraction(1, 2**1022), Fraction(1, 3), 7, Fraction(2, 3), Fraction(1, 5), Fraction(1, 7), 0, 1]
+        with pytest.raises(ValueError, match=r"^the value 1/5 takes the common denominator over 1024 bits$"):
+            SetFunction(abc, vals)
+        vals[4] = vals[5] = Fraction(1, 2**1022)
+        assert SetFunction(abc, vals)._denom == 3 * 2**1022
 
 
 class TestArgmaxFamily:
