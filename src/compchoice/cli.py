@@ -1,4 +1,5 @@
-"""Command-line surface: verify, convert, enumerate, search, fixtures.
+"""Command-line shell over the library: verify, convert, enumerate, search,
+fixtures. The conversions (``route_*``) and the searches are library calls.
 
 Exit codes are stable: 0 when everything requested holds, 1 for a semantic
 failure (a refuted expectation or an unmet route precondition, with a
@@ -13,13 +14,10 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from . import documents, enumeration, fixtures
-from .choicefn import _BAD, AXIOMS, ChoiceFunction, Witness, analyze, decide_stack, ideal_cf
+from .choicefn import AXIOMS, ChoiceFunction, Witness, analyze
 from .core import (
     FiniteLattice,
     GroundSet,
@@ -30,7 +28,6 @@ from .core import (
     is_union_closed,
     powerset_limit,
     set_powerset_limit,
-    union_closure,
 )
 from .errors import (
     CompChoiceError,
@@ -43,35 +40,32 @@ from .errors import (
 from .latticecf import (
     LatticeCF,
     LatticeFunction,
-    _downset_maximizers,
     analyze_lattice,
     classify_lattice,
-    induce_lattice_cf,
+    route_lattice_cf_to_fn,
+    route_lattice_fn_to_cf,
 )
-from .latticecf import synthesize as synthesize_lattice
 from .pretop import (
     NeighborhoodSystem,
-    cf_from_neighborhood_system,
-    decompose,
-    interior_cf,
-    neighborhood_system_of,
-    open_sets,
-    preorder_from_cf,
+    route_cf_to_family,
+    route_cf_to_neighborhoods,
+    route_cf_to_preorder,
+    route_family_to_cf,
+    route_neighborhoods_to_cf,
+    route_preorder_to_cf,
 )
 from .supermod import (
     MAX_DENOMINATOR_BITS,
     ModularityClass,
     SetFunction,
-    _subset_max,
     classify,
     default_epsilon,
-    induce_cf,
     is_supermodular_order,
     order_from_setfn,
-    perturb,
-    synthesize,
+    route_cf_to_setfn,
+    route_setfn_to_cf,
 )
-from .transport import Lift, economical_lift, full_lift, ideal_image
+from .transport import Lift, route_cf_to_economical_lift, route_cf_to_full_lift
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -206,7 +200,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "expect": normalized,
             "expect_ok": expect_ok,
         }
-        _emit(documents._canonical_text(payload))
+        _emit(documents.dumps(payload))
     else:
         _emit(f"input kind: {kind}")
         width = max(len(k) for k in flags)
@@ -224,147 +218,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # convert
 
 
-def _check(name: str, ok: bool) -> dict[str, Any]:
-    return {"name": name, "ok": bool(ok)}
-
-
-def _route_cf_to_family(f: ChoiceFunction) -> tuple[Any, list[dict]]:
-    fam = decompose(f)
-    checks = [_check("interior of the open sets reproduces the input", interior_cf(fam) == f)]
-    return fam, checks
-
-
-def _route_family_to_cf(fam: SetFamily) -> tuple[Any, list[dict]]:
-    f = interior_cf(fam)
-    checks = [
-        _check(
-            "open sets of the interior equal the union closure of the input",
-            open_sets(f).masks == union_closure(fam).masks,
-        )
-    ]
-    return f, checks
-
-
-def _route_cf_to_setfn(f: ChoiceFunction, epsilon: Fraction | None) -> tuple[Any, list[dict]]:
-    """Synthesize, and then perturb at rate ``epsilon`` unless it is None."""
-    u = synthesize(f)
-    checks = [
-        _check("synthesized function is supermodular", classify(u).is_supermodular),
-        _check("induced choice reproduces the input", induce_cf(u) == f),
-    ]
-    if epsilon is not None:
-        u = perturb(u, epsilon)
-        # the maximizers of a menu are all f(m) exactly when both their
-        # intersection and their union are
-        vals, table = u._scaled_ints, f._np_table
-        singleton = all(
-            np.array_equal(_subset_max(vals, op)[1], table)
-            for op in (np.bitwise_and, np.bitwise_or)
-        )
-        checks.append(_check("perturbed maximizer is unique and equals the choice", singleton))
-        checks.append(_check("perturbed function is supermodular", classify(u).is_supermodular))
-    return u, checks
-
-
-def _route_setfn_to_cf(u: SetFunction) -> tuple[Any, list[dict]]:
-    f = induce_cf(u)
-    # f(m) is the least maximizer of m exactly when it attains the maximum
-    # and dropping any of its elements from the menu lowers the maximum
-    vals = u._scaled_ints
-    best = _subset_max(vals)[0]
-    table = f._np_table
-    menus = np.arange(len(table))
-    ok = bool((vals[table] == best).all())
-    for i in range(u.ground.n):
-        bit = 1 << i
-        holds = (table & bit) != 0
-        ok = ok and bool((best[menus[holds] ^ bit] < best[holds]).all())
-    checks = [_check("choice is the least maximizer on every menu", ok)]
-    return f, checks
-
-
-def _route_cf_to_preorder(f: ChoiceFunction) -> tuple[Any, list[dict]]:
-    p = preorder_from_cf(f)
-    checks = [_check("largest-ideal chooser reproduces the input", ideal_cf(p) == f)]
-    return p, checks
-
-
-def _route_preorder_to_cf(p: Preorder) -> tuple[Any, list[dict]]:
-    f = ideal_cf(p)
-    checks = [
-        _check(
-            "preorder extracted back from the chooser matches the input",
-            preorder_from_cf(f).ideal_masks == p.ideal_masks,
-        )
-    ]
-    return f, checks
-
-
-def _route_cf_to_lift(kind: str) -> Callable:
-    def route(f: ChoiceFunction) -> tuple[Any, list[dict]]:
-        lift = full_lift(f) if kind == "full" else economical_lift(f)
-        checks = [_check("direct image reproduces the input", ideal_image(lift.phi, lift.order) == f)]
-        return lift, checks
-
-    return route
-
-
-def _route_cf_to_neighborhoods(f: ChoiceFunction) -> tuple[Any, list[dict]]:
-    system = neighborhood_system_of(f)
-    checks = [
-        _check(
-            "choice rebuilt from the system reproduces the input",
-            cf_from_neighborhood_system(system) == f,
-        )
-    ]
-    return system, checks
-
-
-def _route_neighborhoods_to_cf(system: NeighborhoodSystem) -> tuple[Any, list[dict]]:
-    f = cf_from_neighborhood_system(system)
-    checks = [
-        _check(
-            "minimal neighborhoods of the choice recover the system",
-            neighborhood_system_of(f).minimal == system.minimal,
-        )
-    ]
-    return f, checks
-
-
-def _route_lattice_cf_to_fn(f: LatticeCF) -> tuple[Any, list[dict]]:
-    u = synthesize_lattice(f)
-    checks = [
-        _check("synthesized function is supermodular", classify_lattice(u).is_supermodular),
-        _check("induced choice reproduces the input", induce_lattice_cf(u) == f),
-    ]
-    return u, checks
-
-
-def _route_lattice_fn_to_cf(u: LatticeFunction) -> tuple[Any, list[dict]]:
-    f = induce_lattice_cf(u)
-    # f(x) is the least maximizer below x exactly when it attains the
-    # maximum there and lies below every element that does
-    best, tied = _downset_maximizers(u)
-    table = f._np_table
-    ok = bool((u._scaled_ints[table] == best).all() and (u.lattice._below[:, table].T | ~tied).all())
-    checks = [_check("choice is the least maximizer below every element", ok)]
-    return f, checks
-
-
 _ROUTES: dict[tuple[type, str], Callable] = {
-    (ChoiceFunction, "family"): _route_cf_to_family,
-    (ChoiceFunction, "pretopology"): _route_cf_to_family,
-    (SetFamily, "cf"): _route_family_to_cf,
-    (ChoiceFunction, "setfn"): _route_cf_to_setfn,
-    (SetFunction, "cf"): _route_setfn_to_cf,
-    (ChoiceFunction, "preorder"): _route_cf_to_preorder,
-    (Preorder, "cf"): _route_preorder_to_cf,
-    (ChoiceFunction, "lift"): _route_cf_to_lift("full"),
-    (ChoiceFunction, "lift-economical"): _route_cf_to_lift("economical"),
-    (ChoiceFunction, "neighborhoods"): _route_cf_to_neighborhoods,
-    (NeighborhoodSystem, "cf"): _route_neighborhoods_to_cf,
-    (LatticeCF, "lattice-fn"): _route_lattice_cf_to_fn,
-    (LatticeFunction, "lattice-cf"): _route_lattice_fn_to_cf,
+    (ChoiceFunction, "family"): route_cf_to_family,
+    (ChoiceFunction, "pretopology"): route_cf_to_family,
+    (SetFamily, "cf"): route_family_to_cf,
+    (ChoiceFunction, "setfn"): route_cf_to_setfn,
+    (SetFunction, "cf"): route_setfn_to_cf,
+    (ChoiceFunction, "preorder"): route_cf_to_preorder,
+    (Preorder, "cf"): route_preorder_to_cf,
+    (ChoiceFunction, "lift"): route_cf_to_full_lift,
+    (ChoiceFunction, "lift-economical"): route_cf_to_economical_lift,
+    (ChoiceFunction, "neighborhoods"): route_cf_to_neighborhoods,
+    (NeighborhoodSystem, "cf"): route_neighborhoods_to_cf,
+    (LatticeCF, "lattice-fn"): route_lattice_cf_to_fn,
+    (LatticeFunction, "lattice-cf"): route_lattice_fn_to_cf,
 }
 
 
@@ -400,7 +267,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         )
         return EXIT_INPUT
     try:
-        if route is _route_cf_to_setfn:
+        if route is route_cf_to_setfn:
             if args.perturb:
                 n = obj.ground.n
                 epsilon = default_epsilon(obj.ground) if epsilon is None else epsilon
@@ -416,13 +283,13 @@ def cmd_convert(args: argparse.Namespace) -> int:
         return EXIT_SEMANTIC
     stamp = {
         "route": f"{documents.kind_of(obj)} -> {target}",
-        "checks": checks,
-        "ok": all(c["ok"] for c in checks),
+        "checks": [{"name": name, "ok": ok} for name, ok in checks],
+        "ok": all(ok for _, ok in checks),
     }
     if not stamp["ok"]:
         _emit(f"re-verification FAILED on route {stamp['route']}:")
-        for c in checks:
-            _emit(f"  [{'ok' if c['ok'] else 'FAILED'}] {c['name']}")
+        for name, ok in checks:
+            _emit(f"  [{'ok' if ok else 'FAILED'}] {name}")
         return EXIT_INTERNAL
     if args.output:
         documents.dump_path(out, args.output)
@@ -430,13 +297,13 @@ def cmd_convert(args: argparse.Namespace) -> int:
             _emit(json.dumps({"stamp": stamp, "output": args.output}, ensure_ascii=False))
         else:
             _emit(f"wrote {args.output}")
-            for c in checks:
-                _emit(f"  [ok] {c['name']}")
+            for name, _ in checks:
+                _emit(f"  [ok] {name}")
     elif args.format == "json":
-        _emit(documents._canonical_text({"document": out, "stamp": stamp}))
+        _emit(documents.dumps({"document": out, "stamp": stamp}))
     else:
-        for c in checks:
-            _emit(f"  [ok] {c['name']}")
+        for name, _ in checks:
+            _emit(f"  [ok] {name}")
         _emit(documents.dumps(out))
     return EXIT_OK
 
@@ -454,12 +321,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.stream:
         for fam in enumeration.iter_union_closed_families(ground):
             _emit(json.dumps(documents.family_to_doc(fam), ensure_ascii=False))
-    filter_count, family_count = enumeration.dual_enumeration_counts(n)
-    if filter_count is not None and filter_count != family_count:
-        raise InternalInvariantError(
-            f"enumeration routes disagree at n={n}: "
-            f"table filter {filter_count} vs families {family_count}"
-        )
+    filter_count, family_count = enumeration.dual_enumeration_counts(n)  # raises unless they agree
     if args.format == "json":
         _emit(
             json.dumps(
@@ -468,7 +330,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                     "n": n,
                     "contracting_filter_count": filter_count,
                     "union_closed_family_count": family_count,
-                    "agree": filter_count is None or filter_count == family_count,
+                    "agree": True,
                 },
                 ensure_ascii=False,
             )
@@ -491,99 +353,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # search
 
 
-# The submodular-not-substitutable scan walks the submodular candidate
-# value tables in blocks of at most _SEARCH_CHUNK candidates, so that a
-# --limit search stops early; requests above _SEARCH_MAX_ROWS candidates,
-# (value_max + 1)^(2^n), are refused.
-_SEARCH_MAX_ROWS = 1 << 21
-_SEARCH_CHUNK = 1 << 14
-_SEARCH_VALUE_MAX = 4  # the scan's --value-max when none is given
-
-
-def _search_ground(n: int) -> GroundSet:
-    return GroundSet(tuple("abcdefgh"[:n]))
-
-
-def _submodular_gains(half: np.ndarray) -> np.ndarray:
-    """u(S+i) - u(S) for every element i and every S without i, one row
-    per (i, S) and one column per table of the menu-major stack ``half``."""
-    cols = half.shape[1]
-    gains = [
-        np.diff(half.reshape(-1, 2, 1 << i, cols), axis=1).reshape(-1, cols)
-        for i in range(half.shape[0].bit_length() - 1)
-    ]
-    return np.concatenate([np.empty((0, cols), half.dtype), *gains])
-
-
-def _submodular_join(half: np.ndarray, gains: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """The submodular tables among the joins ``start`` to ``stop - 1`` of
-    ``half``, a menu-major stack of submodular tables over one element
-    fewer, with ``gains`` its ``_submodular_gains``. Join p takes
-    L = column p % C as the masks without the top element and
-    U = column p // C as the masks with it, so with ``half`` in ascending
-    candidate index (a table's value at mask m is its m-th digit in base
-    value_max + 1) the joins come in ascending candidate index too. A join
-    is submodular iff L and U are and every gain of L is at least the same
-    gain of U: these are the exchange squares inside each half, and those
-    on an element and the top one."""
-    cols = half.shape[1]
-    first, last = start // cols, -(-stop // cols)
-    ok = (gains[:, None, :] >= gains[:, first:last, None]).all(axis=0).reshape(-1)
-    upper, lower = np.divmod(np.flatnonzero(ok[start - first * cols : stop - first * cols]) + start, cols)
-    return np.concatenate((half[:, lower], half[:, upper]))
-
-
-def _submodular_tables(k: int, base: int) -> np.ndarray:
-    """Every submodular table over 2^k masks with values below ``base``,
-    menu-major as int16, in ascending candidate index: every value at
-    k = 0, then all the joins of the level below."""
-    half = np.arange(base, dtype=np.int16)[None]
-    for _ in range(k):
-        half = _submodular_join(half, _submodular_gains(half), 0, half.shape[1] ** 2)
-    return half
-
-
-def _search_submodular_not_substitutable(
-    n: int, vmax: int, limit: int | None
-) -> tuple[int, list[dict]]:
-    ground = _search_ground(n)
-    n_masks = 1 << n
-    half = _submodular_tables(n - 1, vmax + 1)
-    gains, joins = _submodular_gains(half), half.shape[1] ** 2
-    masks = np.arange(n_masks, dtype=np.int16)
-    matches: list[dict] = []
-    for start in range(0, joins, _SEARCH_CHUNK):
-        tables = _submodular_join(half, gains, start, min(start + _SEARCH_CHUNK, joins))
-        best, induced = _subset_max(tables)
-        has_least = (np.take_along_axis(tables, induced, 0) == best).all(axis=0)
-        tables, ind = tables[:, has_least], induced[:, has_least].astype(np.int16)
-        # heredity fails at (A, B) when A lies within B and the choice from B
-        # keeps an element of A that the choice from A drops; the first
-        # such pair is the first true cell of the row-major grid, here
-        # menu-major with the candidates last
-        bad = _BAD["substitutable_heredity"](
-            masks[:, None, None], ind[:, None], masks[:, None], ind, ind
-        ).reshape(n_masks * n_masks, ind.shape[1])
-        first = bad.argmax(axis=0)
-        for t in np.flatnonzero(bad.any(axis=0)):
-            a, b = divmod(int(first[t]), n_masks)
-            offending = int(ind[b, t]) & a & ~int(ind[a, t])
-            matches.append(
-                {
-                    "set_function": SetFunction._of(ground, tables[:, t], 1),
-                    "heredity_witness": {
-                        "A": Subset(ground, a).sorted_names(),
-                        "B": Subset(ground, b).sorted_names(),
-                        "element": ground.elements[(offending & -offending).bit_length() - 1],
-                    },
-                }
-            )
-            if len(matches) == limit:
-                return len(matches), matches
-    return len(matches), matches
-
-
-def _search_custom(n: int, predicate: str, limit: int | None) -> tuple[int, list[dict]]:
+def _predicate_terms(predicate: str) -> list[tuple[str, bool]]:
+    """The (axiom, negated) terms of a predicate like 'monotone&!consistent',
+    with the ``--expect`` aliases."""
     terms = []
     for token in predicate.split("&"):
         token = token.strip()
@@ -595,12 +367,7 @@ def _search_custom(n: int, predicate: str, limit: int | None) -> tuple[int, list
                 f"unknown axiom {name!r} in predicate; choose from {', '.join(AXIOMS)}"
             )
         terms.append((name, negate))
-    ground = _search_ground(n)
-    tables = enumeration.contracting_tables(ground)
-    holds = decide_stack(tables, {name for name, _ in terms})
-    hit = np.logical_and.reduce([holds[name] != negate for name, negate in terms])
-    rows = np.flatnonzero(hit)[:limit]
-    return len(rows), [{"choice_function": ChoiceFunction(ground, tables[r])} for r in rows]
+    return terms
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -619,15 +386,13 @@ def cmd_search(args: argparse.Namespace) -> int:
         if args.predicate is not None:
             _emit("error: --predicate applies only to --pattern custom-predicate")
             return EXIT_INPUT
-        vmax = _SEARCH_VALUE_MAX if args.value_max is None else args.value_max
-        rows = (vmax + 1) ** (1 << n)
-        if not 0 <= vmax <= np.iinfo(np.int16).max or rows > _SEARCH_MAX_ROWS:
-            _emit(
-                f"error: --value-max {vmax} at n={n} is refused: it must fit int16 and "
-                f"give at most {_SEARCH_MAX_ROWS} candidate tables, (value_max+1)^(2^n)"
-            )
+        vmax = enumeration.SEARCH_VALUE_MAX if args.value_max is None else args.value_max
+        try:
+            enumeration.check_search_size(n, vmax)  # n is within the cap here
+        except ValueError as exc:
+            _emit(f"error: {exc}".replace("value_max", "--value-max", 1))
             return EXIT_INPUT
-        found, matches = _search_submodular_not_substitutable(n, vmax, probe)
+        found, matches = enumeration.search_submodular_not_substitutable(n, vmax, probe)
     else:
         if args.value_max is not None:
             _emit("error: --value-max applies only to --pattern submodular-not-substitutable")
@@ -635,13 +400,13 @@ def cmd_search(args: argparse.Namespace) -> int:
         if not args.predicate:
             _emit("error: --predicate is required with the custom-predicate pattern")
             return EXIT_INPUT
-        found, matches = _search_custom(n, args.predicate, probe)
+        found, matches = enumeration.search_custom(n, _predicate_terms(args.predicate), probe)
     truncated = limit is not None and found > limit
     if truncated:
         found, matches = limit, matches[:limit]
     if args.format == "json":
         _emit(
-            documents._canonical_text(
+            documents.dumps(
                 {
                     "kind": "search_report",
                     "pattern": args.pattern,
@@ -749,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "largest table value for the exhaustive set-function scan "
-            f"(submodular-not-substitutable only; default {_SEARCH_VALUE_MAX})"
+            f"(submodular-not-substitutable only; default {enumeration.SEARCH_VALUE_MAX})"
         ),
     )
     p.add_argument("--limit", type=int, default=None, help="stop after this many matches")

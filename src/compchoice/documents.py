@@ -151,13 +151,12 @@ class _SubsetCodec:
     reads names by their bits (``_subset_masks``) and builds no codec.
 
     ``order`` lists the masks sorted by their alphabetically sorted name
-    tuples (the canonical entry order), ``texts[m]`` is the name array of
-    mask m as a table entry prints it, and ``names()`` builds the name
-    tuples afresh on each call, for the dict-form writers ``cf_to_doc``
-    and ``setfn_to_doc``. In a rank mask, bit j stands for the j-th name in
-    alphabetical order, so the tuple and text of a rank mask holding j as
-    its top bit are those of the rank mask without it, with that name
-    added at the end.
+    tuples (the canonical entry order), and ``texts[m]`` is the name array
+    of mask m as a table entry prints it; the dict-form writers
+    ``cf_to_doc`` and ``setfn_to_doc`` parse the text writers' output. In a
+    rank mask, bit j stands for the j-th name in alphabetical order, so the
+    text of a rank mask holding j as its top bit is that of the rank mask
+    without it, with that name added at the end.
     """
 
     def __init__(self, ground: GroundSet) -> None:
@@ -178,13 +177,6 @@ class _SubsetCodec:
         for x in reversed(self._alphabetical):
             order = np.concatenate((order[:1], order | 1 << self.ground.index(x), order[1:]))
         return order.tolist()
-
-    def names(self) -> list[tuple[str, ...]]:
-        """Each mask's alphabetically sorted name tuple, for the dict form."""
-        by_rank: list[tuple[str, ...]] = [()]
-        for x in self._alphabetical:
-            by_rank += [t + (x,) for t in by_rank]
-        return [by_rank[r] for r in self._rank.tolist()]
 
     @cached_property
     def texts(self) -> list[str]:
@@ -295,13 +287,7 @@ def family_from_doc(doc: Mapping) -> SetFamily:
 
 
 def cf_to_doc(f: ChoiceFunction) -> dict:
-    codec, t = f.ground._codec, f._np_table.tolist()
-    names = codec.names()
-    return {
-        "kind": "choice_function",
-        "ground": list(f.ground.elements),
-        "table": [{"menu": list(names[m]), "choice": list(names[t[m]])} for m in codec.order],
-    }
+    return json.loads(_cf_text(f))
 
 
 def cf_from_doc(doc: Mapping) -> ChoiceFunction:
@@ -379,16 +365,7 @@ def lattice_from_doc(doc: Mapping) -> FiniteLattice:
 
 
 def setfn_to_doc(u: SetFunction) -> dict:
-    codec = u.ground._codec
-    names = codec.names()
-    values = u._scaled_ints.tolist() if u._denom == 1 else u.values
-    return {
-        "kind": "set_function",
-        "ground": list(u.ground.elements),
-        "values": [
-            {"subset": list(names[m]), "value": _dump_rational(values[m])} for m in codec.order
-        ],
-    }
+    return json.loads(_setfn_text(u))
 
 
 def setfn_from_doc(doc: Mapping) -> SetFunction:

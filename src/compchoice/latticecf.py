@@ -296,6 +296,26 @@ def induce_lattice_cf(u: LatticeFunction) -> LatticeCF:
     return LatticeCF(lat, meet)
 
 
+def route_lattice_cf_to_fn(f: LatticeCF) -> tuple[LatticeFunction, list[tuple[str, bool]]]:
+    """``synthesize`` as a checked conversion (see ``pretop.route_cf_to_family``)."""
+    u = synthesize(f)
+    return u, [
+        ("synthesized function is supermodular", classify_lattice(u).is_supermodular),
+        ("induced choice reproduces the input", induce_lattice_cf(u) == f),
+    ]
+
+
+def route_lattice_fn_to_cf(u: LatticeFunction) -> tuple[LatticeCF, list[tuple[str, bool]]]:
+    """``induce_lattice_cf`` as a checked conversion. f(x) is the least
+    maximizer below x exactly when it attains the maximum there and lies
+    below every element that does."""
+    f = induce_lattice_cf(u)
+    best, tied = _downset_maximizers(u)
+    table = f._np_table
+    ok = bool((u._scaled_ints[table] == best).all() and (u.lattice._below[:, table].T | ~tied).all())
+    return f, [("choice is the least maximizer below every element", ok)]
+
+
 def argmax_downset(u: LatticeFunction, x: str) -> tuple[str, ...]:
     """All maximizers of u over the downset of x, in element order."""
     tied = _downset_maximizers(u)[1][u.lattice.index(x)]

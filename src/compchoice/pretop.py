@@ -16,8 +16,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .choicefn import ChoiceFunction, _submask_reduce
-from .core import GroundSet, Preorder, SetFamily, Subset
+from .choicefn import ChoiceFunction, _submask_reduce, ideal_cf
+from .core import GroundSet, Preorder, SetFamily, Subset, union_closure
 from .errors import (
     InternalInvariantError,
     NeighborhoodPropertyError,
@@ -268,3 +268,42 @@ def preorder_from_cf(f: ChoiceFunction) -> Preorder:
         raise InternalInvariantError(
             f"extracted relation is not a preorder: {exc}"
         ) from exc
+
+
+# ---------------------------------------------------------------------------
+# checked conversions: each returns its result and (check, holds) pairs, and
+# each check re-derives the input from the result independently
+
+
+def route_cf_to_family(f: ChoiceFunction) -> tuple[SetFamily, list[tuple[str, bool]]]:
+    fam = decompose(f)
+    return fam, [("interior of the open sets reproduces the input", interior_cf(fam) == f)]
+
+
+def route_family_to_cf(fam: SetFamily) -> tuple[ChoiceFunction, list[tuple[str, bool]]]:
+    f = interior_cf(fam)
+    same = open_sets(f).masks == union_closure(fam).masks
+    return f, [("open sets of the interior equal the union closure of the input", same)]
+
+
+def route_cf_to_preorder(f: ChoiceFunction) -> tuple[Preorder, list[tuple[str, bool]]]:
+    p = preorder_from_cf(f)
+    return p, [("largest-ideal chooser reproduces the input", ideal_cf(p) == f)]
+
+
+def route_preorder_to_cf(p: Preorder) -> tuple[ChoiceFunction, list[tuple[str, bool]]]:
+    f = ideal_cf(p)
+    same = preorder_from_cf(f).ideal_masks == p.ideal_masks
+    return f, [("preorder extracted back from the chooser matches the input", same)]
+
+
+def route_cf_to_neighborhoods(f: ChoiceFunction) -> tuple[NeighborhoodSystem, list[tuple[str, bool]]]:
+    system = neighborhood_system_of(f)
+    same = cf_from_neighborhood_system(system) == f
+    return system, [("choice rebuilt from the system reproduces the input", same)]
+
+
+def route_neighborhoods_to_cf(system: NeighborhoodSystem) -> tuple[ChoiceFunction, list[tuple[str, bool]]]:
+    f = cf_from_neighborhood_system(system)
+    same = neighborhood_system_of(f).minimal == system.minimal
+    return f, [("minimal neighborhoods of the choice recover the system", same)]

@@ -45,9 +45,9 @@ from .pretop import _require_complementary, open_sets
 _INT64_GUARD = 1 << 61
 
 # The common denominator of a table's values may have at most this many
-# bits; it is checked as values are read in and before ``perturb`` scales
-# them. Distinct denominators make it grow with every value, and each
-# numerator with it.
+# bits; it is checked as values are read in, and before ``perturb``,
+# ``SetFunction.scale`` and ``SetFunction.__add__`` scale them. Distinct
+# denominators make it grow with every value, and each numerator with it.
 MAX_DENOMINATOR_BITS = 1024
 
 
@@ -176,11 +176,15 @@ class SetFunction(_ExactValues):
         if other.ground != self.ground:
             raise GroundSetMismatchError("sum across different ground sets")
         d = math.lcm(self._denom, other._denom)
+        if d.bit_length() > MAX_DENOMINATOR_BITS:  # before any numerator is scaled
+            raise _denominator_error("the summand with denominator", Fraction(other._denom))
         return SetFunction._of(self.ground, _exact_sum(
             (self._scaled_ints, d // self._denom), (other._scaled_ints, d // other._denom)), d)
 
     def scale(self, c: Fraction | int) -> SetFunction:
         c = _as_fraction(c)
+        if (self._denom * c.denominator).bit_length() > MAX_DENOMINATOR_BITS:
+            raise _denominator_error("the factor", c)
         return SetFunction._of(
             self.ground, _exact_sum((self._scaled_ints, c.numerator)), self._denom * c.denominator)
 
@@ -414,6 +418,46 @@ def induce_cf(u: SetFunction) -> ChoiceFunction:
             pair=(Subset(ground, pair[0]), Subset(ground, pair[1])),
         )
     return ChoiceFunction(ground, inter)
+
+
+def route_cf_to_setfn(
+    f: ChoiceFunction, epsilon: Fraction | None = None
+) -> tuple[SetFunction, list[tuple[str, bool]]]:
+    """``synthesize`` as a checked conversion (see
+    ``pretop.route_cf_to_family``), and then ``perturb`` at rate
+    ``epsilon`` unless it is None."""
+    u = synthesize(f)
+    checks = [
+        ("synthesized function is supermodular", classify(u).is_supermodular),
+        ("induced choice reproduces the input", induce_cf(u) == f),
+    ]
+    if epsilon is not None:
+        u = perturb(u, epsilon)
+        # the maximizers of a menu are all f(m) exactly when both their
+        # intersection and their union are
+        singleton = all(
+            np.array_equal(_subset_max(u._scaled_ints, op)[1], f._np_table)
+            for op in (np.bitwise_and, np.bitwise_or)
+        )
+        checks.append(("perturbed maximizer is unique and equals the choice", singleton))
+        checks.append(("perturbed function is supermodular", classify(u).is_supermodular))
+    return u, checks
+
+
+def route_setfn_to_cf(u: SetFunction) -> tuple[ChoiceFunction, list[tuple[str, bool]]]:
+    """``induce_cf`` as a checked conversion. f(m) is the least maximizer
+    of m exactly when it attains the maximum and dropping any of its
+    elements from the menu lowers the maximum."""
+    f = induce_cf(u)
+    vals, table = u._scaled_ints, f._np_table
+    best = _subset_max(vals)[0]
+    menus = np.arange(len(table))
+    ok = bool((vals[table] == best).all())
+    for i in range(u.ground.n):
+        bit = 1 << i
+        holds = (table & bit) != 0
+        ok = ok and bool((best[menus[holds] ^ bit] < best[holds]).all())
+    return f, [("choice is the least maximizer on every menu", ok)]
 
 
 def order_from_setfn(u: SetFunction) -> SubsetWeakOrder:

@@ -196,3 +196,13 @@ def economical_lift(f: ChoiceFunction) -> Lift:
         for u in minimal_neighborhoods(f, x).sorted_masks:
             pairs.append((i, u))
     return _build_lift(f, pairs, "economical")
+
+
+def route_cf_to_full_lift(f: ChoiceFunction) -> tuple[Lift, list[tuple[str, bool]]]:
+    lift = full_lift(f)
+    return lift, [("direct image reproduces the input", ideal_image(lift.phi, lift.order) == f)]
+
+
+def route_cf_to_economical_lift(f: ChoiceFunction) -> tuple[Lift, list[tuple[str, bool]]]:
+    lift = economical_lift(f)
+    return lift, [("direct image reproduces the input", ideal_image(lift.phi, lift.order) == f)]

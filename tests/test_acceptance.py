@@ -44,13 +44,13 @@ from compchoice import (
     union,
 )
 from compchoice import documents
-from compchoice.cli import _search_submodular_not_substitutable
 from compchoice.enumeration import (
     dual_enumeration_counts,
     iter_complementary_by_families,
     iter_preorders,
     random_complementary_cf,
     random_family,
+    search_submodular_not_substitutable,
 )
 from compchoice.fixtures import submodular_counterexample
 from compchoice.latticecf import (
@@ -269,7 +269,7 @@ def test_08_lattice_suite():
 
 def test_09_counterexample_search_rediscovers_the_fixture():
     with checked("9 submodular-not-substitutable search over n=3, values 0..4"):
-        found, matches = _search_submodular_not_substitutable(3, 4, None)
+        found, matches = search_submodular_not_substitutable(3, 4, None)
         assert found >= 1
         assert len(matches) == found
         fixture_values = submodular_counterexample().values

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import collections
 import contextlib
 import copy
@@ -6,6 +7,7 @@ import functools
 import io
 import itertools
 import json
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compchoice import ChoiceFunction, GroundSet, Subset, cli, documents, is_supermodular_order, order_from_setfn, synthesize
+from compchoice import ChoiceFunction, GroundSet, Subset, cli, documents, enumeration, is_supermodular_order, order_from_setfn, synthesize
 from compchoice.cli import main
 from compchoice.enumeration import random_complementary_cf
 from compchoice.errors import DocumentError
@@ -409,7 +411,7 @@ class TestConvert:
         monkeypatch.setitem(
             cli_module._ROUTES,
             (ChoiceFunction, "family"),
-            lambda obj: (decompose(obj), [{"name": "forced failure", "ok": False}]),
+            lambda obj: (decompose(obj), [("forced failure", False)]),
         )
         src = write_fixture(tmp_path, "overlapping-pairs-cf")
         code, out = run(capsys, "convert", src, "--to", "family")
@@ -466,6 +468,18 @@ class TestEnumerate:
         code, _ = run(capsys, "enumerate", "--n", "6")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    @pytest.mark.parametrize("route, miscount, counts", [
+        ("count_union_closed_families", lambda n: 62, "table filter 61 vs families 62"),
+        ("_complementary_rows", lambda ground: [None] * 60, "table filter 60 vs families 61"),
+    ])
+    def test_disagreeing_routes_exit_three(self, capsys, monkeypatch, fmt, route, miscount, counts):
+        # a miscount on either route is caught by dual_enumeration_counts
+        monkeypatch.setattr(enumeration, route, miscount)
+        code, out = run(capsys, "enumerate", "--n", "3", "--format", fmt)
+        assert code == 3
+        assert out == f"internal invariant breached: enumeration routes disagree at n=3: {counts}\n"
+
 
 # the benchmark's four predicates, then negations, aliases and spacing
 CUSTOM_PREDICATES = [
@@ -484,7 +498,7 @@ CUSTOM_PREDICATES = [
 def contracting_functions(n):
     """Every contracting table over the search's ground set, as choice
     functions in product order, enumerated independently of the package."""
-    g = cli._search_ground(n)
+    g = enumeration.search_ground(n)
     options = [[s for s in range(m + 1) if s & m == s] for m in range(1 << n)]
     return [ChoiceFunction(g, t) for t in itertools.product(*options)]
 
@@ -582,7 +596,7 @@ class TestSearch:
     @pytest.mark.parametrize("predicate", CUSTOM_PREDICATES)
     def test_custom_predicate_matches_the_per_table_loop(self, n, predicate):
         for limit in (1, 7, 20, None):
-            found, matches = cli._search_custom(n, predicate, limit)
+            found, matches = enumeration.search_custom(n, cli._predicate_terms(predicate), limit)
             docs = [{"choice_function": documents.to_document(m["choice_function"])} for m in matches]
             assert (found, docs) == custom_search_oracle(n, predicate, limit)
 
@@ -997,3 +1011,25 @@ class TestExactValueBound:
         # refused before the input is read, so a missing input is not reached
         got, out = run(capsys, "convert", tmp_path / "missing.json", "--to", "setfn", "--perturb", "--epsilon", f"1/{10 ** 4000}")
         assert got == 2 and out.startswith("error: --epsilon has a 13288-bit denominator")
+
+
+class TestThinShell:
+    """``cli.py`` reads the package through its public names only."""
+
+    def test_no_numpy_and_no_private_package_names(self):
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+        bad = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bad += [a.name for a in node.names if a.name.split(".")[0] == "numpy"]
+            elif isinstance(node, ast.ImportFrom):
+                if (node.module or "").split(".")[0] == "numpy":
+                    bad.append(node.module)
+                elif node.level or (node.module or "").split(".")[0] == "compchoice":
+                    bad += [a.name for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute):
+                # every object the module handles comes from the package or
+                # the standard library, and it reads no private attribute of either
+                if node.attr.startswith("_") and not node.attr.startswith("__"):
+                    bad.append(f"{ast.unparse(node.value)}.{node.attr}")
+        assert bad == []

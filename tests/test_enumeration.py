@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -16,6 +17,7 @@ from compchoice.enumeration import (
     iter_union_closed_families,
     random_complementary_cf,
     random_family,
+    search_submodular_not_substitutable,
 )
 
 
@@ -125,6 +127,19 @@ class TestDualEnumeration:
         filter_count, family_count = dual_enumeration_counts(4)
         assert filter_count is None
         assert family_count == count_union_closed_families(4)
+
+
+class TestSearchSize:
+    @pytest.mark.parametrize("n, value_max", [(0, 4), (4, 0), (30, 0), (3, -1), (1, 32768), (2, 200)])
+    def test_refused_before_anything_is_allocated(self, n, value_max):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="search supports|is refused"):
+                search_submodular_not_substitutable(n, value_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestPreorders:

@@ -30,7 +30,7 @@ from compchoice import (
     random_supermodular,
     synthesize,
 )
-from compchoice import cli, documents
+from compchoice import cli, documents, enumeration, supermod
 from compchoice.enumeration import random_family
 from compchoice.errors import NoUniqueMinimizerError
 from compchoice.supermod import _INT64_GUARD, SetFunction, _subset_max, default_epsilon
@@ -244,7 +244,7 @@ def recording_survivors(monkeypatch, n):
     calls that join halves over n - 1 elements, and not those that build
     the levels below."""
     survivors = []
-    join = cli._submodular_join
+    join = enumeration.submodular_join
 
     def recording(half, gains, start, stop):
         out = join(half, gains, start, stop)
@@ -252,7 +252,7 @@ def recording_survivors(monkeypatch, n):
             survivors.append(out.shape[1])
         return out
 
-    monkeypatch.setattr(cli, "_submodular_join", recording)
+    monkeypatch.setattr(enumeration, "submodular_join", recording)
     return survivors
 
 
@@ -260,16 +260,16 @@ class TestSubmodularHalves:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_levels_equal_the_exchange_filter_in_order(self, k):
         for base in range(1, 7):
-            got = cli._submodular_tables(k, base)
+            got = enumeration.submodular_tables(k, base)
             assert got.dtype == np.int16
             assert got.tolist() == submodular_by_filter(k, base).tolist()
 
     def test_blocks_join_the_level_in_order(self):
-        half = cli._submodular_tables(2, 4)
-        gains, joins = cli._submodular_gains(half), half.shape[1] ** 2
+        half = enumeration.submodular_tables(2, 4)
+        gains, joins = enumeration.submodular_gains(half), half.shape[1] ** 2
         for size in (1, 7, 100, half.shape[1], joins):
-            blocks = [cli._submodular_join(half, gains, a, min(a + size, joins)) for a in range(0, joins, size)]
-            assert np.concatenate(blocks, axis=1).tolist() == cli._submodular_tables(3, 4).tolist()
+            blocks = [enumeration.submodular_join(half, gains, a, min(a + size, joins)) for a in range(0, joins, size)]
+            assert np.concatenate(blocks, axis=1).tolist() == enumeration.submodular_tables(3, 4).tolist()
 
 
 class TestSearch:
@@ -278,9 +278,9 @@ class TestSearch:
     )
     def test_found_and_matches_unchanged(self, n, vmax):
         want = reference_search(n, vmax)
-        found, matches = cli._search_submodular_not_substitutable(n, vmax, None)
+        found, matches = enumeration.search_submodular_not_substitutable(n, vmax, None)
         assert found == len(want)
-        g = cli._search_ground(n)
+        g = enumeration.search_ground(n)
         for match, (vals, (a, b), element) in zip(matches, want, strict=True):
             doc = documents.to_document(match["set_function"])
             doc_vals = {tuple(e["subset"]): e["value"] for e in doc["values"]}
@@ -288,12 +288,12 @@ class TestSearch:
             assert match["heredity_witness"]["A"] == Subset(g, a).sorted_names()
             assert match["heredity_witness"]["B"] == Subset(g, b).sorted_names()
             assert match["heredity_witness"]["element"] == g.elements[element]
-        limited = cli._search_submodular_not_substitutable(n, vmax, 2)
+        limited = enumeration.search_submodular_not_substitutable(n, vmax, 2)
         assert limited == (min(2, found), matches[:2])
 
     def test_default_count_at_n3(self):
         # recorded from the per-candidate walk
-        assert cli._search_submodular_not_substitutable(3, 4, None)[0] == 174
+        assert enumeration.search_submodular_not_substitutable(3, 4, None)[0] == 174
 
     @pytest.mark.parametrize("predicate, count", [
         ("monotone&!consistent", 155),
@@ -303,19 +303,19 @@ class TestSearch:
     ])
     def test_recorded_custom_counts_at_n3(self, predicate, count):
         # recorded from the per-table loop, as the benchmark's digests were
-        found, matches = cli._search_custom(3, predicate, None)
+        found, matches = enumeration.search_custom(3, cli._predicate_terms(predicate), None)
         assert found == len(matches) == count
 
     @pytest.mark.parametrize("limit", [None, 1, 9])
     def test_chunk_boundaries_change_nothing(self, monkeypatch, limit):
-        whole = cli._search_submodular_not_substitutable(3, 4, limit)
+        whole = enumeration.search_submodular_not_substitutable(3, 4, limit)
         assert whole[0] == (174 if limit is None else limit)
         # 355 submodular tables over two elements give 126,025 joins, in
         # 1009 blocks of 125; a block that joins upper halves with few
         # lower ones that dominate their gains can leave no table standing
-        monkeypatch.setattr(cli, "_SEARCH_CHUNK", 125)
+        monkeypatch.setattr(enumeration, "SEARCH_CHUNK", 125)
         survivors = recording_survivors(monkeypatch, 3)
-        assert cli._search_submodular_not_substitutable(3, 4, limit) == whole
+        assert enumeration.search_submodular_not_substitutable(3, 4, limit) == whole
         if limit is None:
             assert len(survivors) == 1009
             assert sum(survivors) == 24108
@@ -327,9 +327,9 @@ class TestSearch:
     def test_tiny_chunks_scan_every_candidate_once(self, monkeypatch, chunk, blocks):
         # all 36 tables over one element are submodular, so there are
         # 1296 joins, ceil(1296 / chunk) blocks of them
-        monkeypatch.setattr(cli, "_SEARCH_CHUNK", chunk)
+        monkeypatch.setattr(enumeration, "SEARCH_CHUNK", chunk)
         survivors = recording_survivors(monkeypatch, 2)
-        assert cli._search_submodular_not_substitutable(2, 5, None) == (0, [])
+        assert enumeration.search_submodular_not_substitutable(2, 5, None) == (0, [])
         assert len(survivors) == blocks
         assert sum(survivors) == sum(
             all(v[a] + v[b] >= v[a & b] + v[a | b] for a in range(4) for b in range(4))
@@ -339,9 +339,9 @@ class TestSearch:
     def test_chunks_without_survivors_at_value_max_5(self, monkeypatch):
         # every block of at least 721 joins holds a table joined with
         # itself, which is submodular; blocks of 125 can hold none
-        monkeypatch.setattr(cli, "_SEARCH_CHUNK", 125)
+        monkeypatch.setattr(enumeration, "SEARCH_CHUNK", 125)
         survivors = recording_survivors(monkeypatch, 3)
-        found, matches = cli._search_submodular_not_substitutable(3, 5, None)
+        found, matches = enumeration.search_submodular_not_substitutable(3, 5, None)
         # recorded from the per-candidate decode
         assert found == len(matches) == 1476
         assert len(survivors) == 4159
@@ -357,26 +357,26 @@ class TestConvertChecks:
         self.epsilon = default_epsilon(g)
 
     def test_honest_routes_pass(self):
-        u, checks = cli._route_cf_to_setfn(self.f, self.epsilon)
-        assert all(c["ok"] for c in checks)
-        _, checks = cli._route_setfn_to_cf(synthesize(self.f))
-        assert all(c["ok"] for c in checks)
+        u, checks = supermod.route_cf_to_setfn(self.f, self.epsilon)
+        assert all(ok for _, ok in checks)
+        _, checks = supermod.route_setfn_to_cf(synthesize(self.f))
+        assert all(ok for _, ok in checks)
 
     def test_non_least_maximizer_fails(self, monkeypatch):
         u = synthesize(self.f)
         _, _, union = walk(u._scaled_ints.tolist())
         assert union != list(self.f.table)  # the largest maximizer differs somewhere
-        monkeypatch.setattr(cli, "induce_cf", lambda _: cli.ChoiceFunction(u.ground, tuple(union)))
-        _, checks = cli._route_setfn_to_cf(u)
-        assert checks == [{"name": "choice is the least maximizer on every menu", "ok": False}]
+        monkeypatch.setattr(supermod, "induce_cf", lambda _: supermod.ChoiceFunction(u.ground, tuple(union)))
+        _, checks = supermod.route_setfn_to_cf(u)
+        assert checks == [("choice is the least maximizer on every menu", False)]
 
     def test_non_maximizer_fails(self, monkeypatch):
         u = synthesize(self.f)
         table = list(self.f.table)
         table[-1] = 0
-        monkeypatch.setattr(cli, "induce_cf", lambda _: cli.ChoiceFunction(u.ground, tuple(table)))
-        _, checks = cli._route_setfn_to_cf(u)
-        assert checks[0]["ok"] is False
+        monkeypatch.setattr(supermod, "induce_cf", lambda _: supermod.ChoiceFunction(u.ground, tuple(table)))
+        _, checks = supermod.route_setfn_to_cf(u)
+        assert checks[0][1] is False
 
     @pytest.mark.parametrize("mutant", [
         # the tie-breaking penalty left out
@@ -385,7 +385,7 @@ class TestConvertChecks:
         lambda u, eps: SetFunction(u.ground, tuple(v + eps * m.bit_count() for m, v in enumerate(u.values))),
     ])
     def test_tie_left_in_perturbed_function_fails(self, monkeypatch, mutant):
-        monkeypatch.setattr(cli, "perturb", mutant)
-        _, checks = cli._route_cf_to_setfn(self.f, self.epsilon)
-        unique = next(c for c in checks if c["name"].startswith("perturbed maximizer"))
-        assert unique["ok"] is False
+        monkeypatch.setattr(supermod, "perturb", mutant)
+        _, checks = supermod.route_cf_to_setfn(self.f, self.epsilon)
+        unique = next(c for c in checks if c[0].startswith("perturbed maximizer"))
+        assert unique[1] is False

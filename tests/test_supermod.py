@@ -34,7 +34,7 @@ from compchoice import (
 from compchoice.enumeration import iter_complementary_by_families, random_complementary_cf
 from compchoice.errors import NoUniqueMinimizerError, PreconditionError
 from compchoice.fixtures import submodular_counterexample
-from compchoice import supermod
+from compchoice import documents, supermod
 from compchoice.supermod import _INT64_GUARD, ModularityClass, SetFunction
 
 
@@ -447,6 +447,27 @@ class TestDenominatorBound:
             SetFunction(abc, vals)
         vals[4] = vals[5] = Fraction(1, 2**1022)
         assert SetFunction(abc, vals)._denom == 3 * 2**1022
+
+    def test_scale_is_bounded(self, abc):
+        u = SetFunction(abc, range(8))
+        with pytest.raises(ValueError, match=r"^the factor 1/9657\d{34}\.\.\. takes the common denominator over 1024 bits$"):
+            u.scale(Fraction(1, 3**700))
+        v = u.scale(Fraction(1, 2**1023))
+        assert v._denom == 2**1023
+        assert documents.loads(documents.dumps(v)) == v
+
+    def test_sum_is_bounded(self, abc):
+        halves = SetFunction(abc, [Fraction(k, 2**1000) for k in range(8)])
+        thirds = SetFunction(abc, [Fraction(1, 3**600)] * 8)
+        for a, b in ((halves, thirds), (thirds, halves)):
+            with pytest.raises(ValueError, match=r"^the summand with denominator \d+\.\.\. takes the common denominator over 1024 bits$"):
+                a + b
+        top = SetFunction(abc, [Fraction(k, 2**1023) for k in range(8)])
+        total = top + halves
+        assert total._denom == 2**1023
+        assert documents.loads(documents.dumps(total)) == total
+        with pytest.raises(ValueError):
+            top + SetFunction(abc, [Fraction(1, 3)] * 8)
 
 
 class TestArgmaxFamily:
