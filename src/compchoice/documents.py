@@ -123,6 +123,26 @@ def _load_pairs(raw: list, message: str) -> list[tuple[str, str]]:
     return list(map(tuple, raw))
 
 
+def _load_rows(doc: Mapping, field: str, message: str, names: tuple, value: Callable | None = None) -> dict:
+    """The ``[name, value]`` rows of ``doc[field]`` as a dict, each value
+    read by ``value(v, f"{field}[i]")`` if given, else a name. Refused, in
+    this order: a row of another shape (``message``, ``{}`` its index), a
+    repeated name, a name of ``names`` missing, and a name not among them."""
+    rows: dict = {}
+    for i, row in enumerate(_expect_list(doc, field)):
+        _expect_pair(row, message, i, names=2 if value is None else 1)
+        if row[0] in rows:
+            _fail(f"{field}[{i}]: duplicate element {row[0]!r}")
+        rows[row[0]] = row[1] if value is None else value(row[1], f"{field}[{i}]")
+    for x in names:
+        if x not in rows:
+            _fail(f"{field} missing for {x!r}")
+    if len(rows) > len(names):
+        known = set(names)
+        _fail(f"{field} assigned to unknown element {next(x for x in rows if x not in known)!r}")
+    return rows
+
+
 def _load_ground(doc: Mapping) -> GroundSet:
     names = _load_names(doc, "ground")
     try:
@@ -137,10 +157,6 @@ def _load_subset(ground: GroundSet, val: Any, where: str) -> Subset:
         return ground.subset(names)
     except ValueError as exc:
         _fail(f"{where}: {exc}")
-
-
-def _subset_key(s: Subset) -> list[str]:
-    return s.sorted_names()
 
 
 class _SubsetCodec:
@@ -221,26 +237,33 @@ def _exact_values(cls: type, domain: Any, values: Any) -> Any:
         _fail(f"values: {exc}")
 
 
+# an exponent as Fraction reads it (Unicode digits, single underscores), as float does
+_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)")
+
+
 def load_rational(val: Any, where: str) -> Fraction:
-    """An exact rational from a JSON value or a command-line string; a
-    decimal exponent of five or more digits is refused before ``Fraction``
-    would expand it."""
+    """An exact rational from a JSON value or a command-line string. A
+    decimal exponent of magnitude 10^4 or more is refused before
+    ``Fraction`` would expand it. A value whose numerator or denominator
+    has more digits than the interpreter converts to text is refused too,
+    as it could be read but not dumped."""
     if isinstance(val, bool) or isinstance(val, float):
         _fail(f"{where}: exact rationals required; write them as strings like \"-1/4\"")
     if isinstance(val, int):
         return Fraction(val)
     if isinstance(val, str):
-        if re.search(r"[eE][+-]?0*\d{5}", val):  # Fraction would expand 10**exponent
+        exponent = _EXPONENT.search(val)
+        if exponent and not abs(float(exponent[1])) < 1e4:  # Fraction would expand 10**exponent
             _fail(f"{where}: exponent too large in {val[:40]!r}")
         try:
-            return Fraction(val)
+            q = Fraction(val)
+            # an int below 2^2048 has 617 digits at most; a digit limit is 640 at the least
+            if max(abs(q.numerator), q.denominator).bit_length() > 2048:
+                str(q)  # raises past the limit on int-to-text conversion
         except (ValueError, ZeroDivisionError) as exc:
             _fail(f"{where}: not a rational: {exc}")
+        return q
     _fail(f"{where}: expected an integer or a rational string")
-
-
-def _dump_rational(v: Fraction) -> str:
-    return str(v)
 
 
 _INT_TEXT = re.compile(r"-?[0-9]{1,18}")
@@ -271,7 +294,7 @@ def _bulk_values(entries: list[dict]) -> list | None:
 
 
 def family_to_doc(fam: SetFamily) -> dict:
-    members = sorted((_subset_key(s) for s in fam.subsets()))
+    members = sorted(s.sorted_names() for s in fam.subsets())
     return {
         "kind": "family",
         "ground": list(fam.ground.elements),
@@ -405,10 +428,7 @@ def setfn_from_doc(doc: Mapping) -> SetFunction:
 def neighborhood_system_to_doc(system: NeighborhoodSystem) -> dict:
     minimal = {}
     for i, name in enumerate(system.ground.elements):
-        fams = sorted(
-            _subset_key(Subset(system.ground, s)) for s in system.minimal[i]
-        )
-        minimal[name] = fams
+        minimal[name] = sorted(Subset(system.ground, s).sorted_names() for s in system.minimal[i])
     return {
         "kind": "neighborhood_system",
         "ground": list(system.ground.elements),
@@ -476,9 +496,7 @@ def lift_from_doc(doc: Mapping) -> Lift:
     if not isinstance(source_doc, Mapping):
         _fail("field 'source' must hold the lifted choice-function document")
     source = cf_from_doc(source_doc)
-    mapping = dict(
-        _load_pairs(_expect_list(doc, "phi"), "phi[{}] must be a [pair, target] array of names")
-    )
+    mapping = _load_rows(doc, "phi", "phi[{}] must be a [pair, target] array of names", space.elements)
     try:
         phi = PointMap.from_names(space, source.ground, mapping)
     except ValueError as exc:
@@ -509,17 +527,8 @@ def lattice_cf_to_doc(f: LatticeCF) -> dict:
 
 
 def lattice_cf_from_doc(doc: Mapping) -> LatticeCF:
-    lat_doc = doc.get("lattice")
-    if not isinstance(lat_doc, Mapping):
-        _fail("field 'lattice' must hold a lattice document")
-    lattice = lattice_from_doc(lat_doc)
-    raw = _expect_list(doc, "table")
-    mapping = {}
-    for i, pair in enumerate(raw):
-        _expect_pair(pair, "table[{}] must be an [x, f(x)] array of names", i)
-        if pair[0] in mapping:
-            _fail(f"table[{i}]: duplicate element {pair[0]!r}")
-        mapping[pair[0]] = pair[1]
+    lattice = _lattice_field(doc)
+    mapping = _load_rows(doc, "table", "table[{}] must be an [x, f(x)] array of names", lattice.elems)
     try:
         return LatticeCF.from_mapping(lattice, mapping)
     except (ValueError, CompChoiceError) as exc:
@@ -530,30 +539,13 @@ def lattice_fn_to_doc(u: LatticeFunction) -> dict:
     return {
         "kind": "lattice_function",
         "lattice": _strip_kind(lattice_to_doc(u.lattice)),
-        "values": [
-            [x, _dump_rational(u.values[i])] for i, x in enumerate(u.lattice.elems)
-        ],
+        "values": [[x, str(v)] for x, v in zip(u.lattice.elems, u.values)],
     }
 
 
 def lattice_fn_from_doc(doc: Mapping) -> LatticeFunction:
-    lat_doc = doc.get("lattice")
-    if not isinstance(lat_doc, Mapping):
-        _fail("field 'lattice' must hold a lattice document")
-    lattice = lattice_from_doc(lat_doc)
-    raw = _expect_list(doc, "values")
-    values: dict[str, Fraction] = {}
-    for i, pair in enumerate(raw):
-        _expect_pair(pair, "values[{}] must be an [x, value] array", i, names=1)
-        if pair[0] in values:
-            _fail(f"values[{i}]: duplicate element {pair[0]!r}")
-        values[pair[0]] = load_rational(pair[1], f"values[{i}]")
-    missing = [x for x in lattice.elems if x not in values]
-    if missing:
-        _fail(f"values missing for {missing[0]!r}")
-    extra = [x for x in values if x not in lattice.elems]
-    if extra:
-        _fail(f"values assigned to unknown element {extra[0]!r}")
+    lattice = _lattice_field(doc)
+    values = _load_rows(doc, "values", "values[{}] must be an [x, value] array", lattice.elems, load_rational)
     return _exact_values(LatticeFunction, lattice, tuple(values[x] for x in lattice.elems))
 
 
@@ -561,51 +553,50 @@ def _strip_kind(doc: dict) -> dict:
     return {k: v for k, v in doc.items() if k != "kind"}
 
 
+def _lattice_field(doc: Mapping) -> FiniteLattice:
+    """The lattice under a lattice document's ``lattice`` field."""
+    lat_doc = doc.get("lattice")
+    if not isinstance(lat_doc, Mapping):
+        _fail("field 'lattice' must hold a lattice document")
+    return lattice_from_doc(lat_doc)
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 
-_TO_DOC: list[tuple[type, str, Callable]] = [
-    (SetFamily, "family", family_to_doc),
-    (ChoiceFunction, "choice_function", cf_to_doc),
-    (Preorder, "preorder", preorder_to_doc),
-    (FiniteLattice, "lattice", lattice_to_doc),
-    (SetFunction, "set_function", setfn_to_doc),
-    (NeighborhoodSystem, "neighborhood_system", neighborhood_system_to_doc),
-    (Lift, "lift", lift_to_doc),
-    (LatticeCF, "lattice_cf", lattice_cf_to_doc),
-    (LatticeFunction, "lattice_function", lattice_fn_to_doc),
-]
+# Each document kind once: the type it holds, its ``kind`` field, its
+# writer and its reader.
+_DOCUMENT_KINDS: tuple[tuple[type, str, Callable, Callable], ...] = (
+    (SetFamily, "family", family_to_doc, family_from_doc),
+    (ChoiceFunction, "choice_function", cf_to_doc, cf_from_doc),
+    (Preorder, "preorder", preorder_to_doc, preorder_from_doc),
+    (FiniteLattice, "lattice", lattice_to_doc, lattice_from_doc),
+    (SetFunction, "set_function", setfn_to_doc, setfn_from_doc),
+    (NeighborhoodSystem, "neighborhood_system", neighborhood_system_to_doc, neighborhood_system_from_doc),
+    (Lift, "lift", lift_to_doc, lift_from_doc),
+    (LatticeCF, "lattice_cf", lattice_cf_to_doc, lattice_cf_from_doc),
+    (LatticeFunction, "lattice_function", lattice_fn_to_doc, lattice_fn_from_doc),
+)
 
-_FROM_DOC: dict[str, Callable] = {
-    "family": family_from_doc,
-    "choice_function": cf_from_doc,
-    "preorder": preorder_from_doc,
-    "lattice": lattice_from_doc,
-    "set_function": setfn_from_doc,
-    "neighborhood_system": neighborhood_system_from_doc,
-    "lift": lift_from_doc,
-    "lattice_cf": lattice_cf_from_doc,
-    "lattice_function": lattice_fn_from_doc,
-}
+KINDS = tuple(kind for _, kind, _, _ in _DOCUMENT_KINDS)
+_DOCUMENT_TYPES = tuple(cls for cls, _, _, _ in _DOCUMENT_KINDS)
 
-KINDS = tuple(_FROM_DOC)
-_DOCUMENT_TYPES = tuple(cls for cls, _, _ in _TO_DOC)
+
+def _document_kind(obj: Any) -> tuple[type, str, Callable, Callable]:
+    for row in _DOCUMENT_KINDS:
+        if isinstance(obj, row[0]):
+            return row
+    raise TypeError(f"no document form for {type(obj).__name__}")
 
 
 def kind_of(obj: Any) -> str:
     """The ``kind`` that ``to_document(obj)`` writes, found without
     serializing the object."""
-    for cls, kind, _ in _TO_DOC:
-        if isinstance(obj, cls):
-            return kind
-    raise TypeError(f"no document form for {type(obj).__name__}")
+    return _document_kind(obj)[1]
 
 
 def to_document(obj: Any) -> dict:
-    for cls, _, fn in _TO_DOC:
-        if isinstance(obj, cls):
-            return fn(obj)
-    raise TypeError(f"no document form for {type(obj).__name__}")
+    return _document_kind(obj)[2](obj)
 
 
 def from_document(doc: Any) -> Any:
@@ -617,11 +608,10 @@ def from_document(doc: Any) -> Any:
         if not isinstance(doc, Mapping):
             _fail("envelope field 'document' must be a JSON object")
     kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _FROM_DOC:
-        _fail(
-            f"unknown document kind {kind!r}; expected one of {', '.join(KINDS)}"
-        )
-    return _FROM_DOC[kind](doc)
+    for _, name, _, reader in _DOCUMENT_KINDS:
+        if kind == name:
+            return reader(doc)
+    _fail(f"unknown document kind {kind!r}; expected one of {', '.join(KINDS)}")
 
 
 def _canonical_text(doc: Any) -> str:

@@ -179,7 +179,10 @@ SEARCH_VALUE_MAX = 4  # the search's value_max when none is given
 
 
 def search_ground(n: int) -> GroundSet:
-    """The ground set {a, b, ...} of n elements that both searches use."""
+    """The ground set {a, b, ...} of n elements that both searches use;
+    ``ValueError`` unless 1 <= n <= ``MAX_FILTER_N``."""
+    if not 1 <= n <= MAX_FILTER_N:
+        raise ValueError(f"the search supports 1 <= n <= {MAX_FILTER_N}, got {n}")
     return GroundSet(tuple("abcdefgh"[:n]))
 
 
@@ -226,8 +229,7 @@ def check_search_size(n: int, value_max: int) -> None:
     """Raise ``ValueError`` unless 1 <= n <= ``MAX_FILTER_N`` and
     ``value_max`` fits int16 and gives at most ``SEARCH_MAX_ROWS``
     candidate tables at n, (value_max + 1)^(2^n)."""
-    if not 1 <= n <= MAX_FILTER_N:
-        raise ValueError(f"the search supports 1 <= n <= {MAX_FILTER_N}, got {n}")
+    search_ground(n)  # refuses n outside 1..MAX_FILTER_N
     if not 0 <= value_max <= np.iinfo(np.int16).max or (value_max + 1) ** (1 << n) > SEARCH_MAX_ROWS:
         raise ValueError(
             f"value_max {value_max} at n={n} is refused: it must fit int16 and "
@@ -290,7 +292,8 @@ def search_custom(
     """The contracting tables over ``search_ground(n)`` on which every
     (axiom, negated) term holds: the axiom of ``choicefn.AXIOMS``, or its
     failure when negated. Returns how many match, counted up to ``limit``,
-    and those matches in the row order of ``contracting_tables``."""
+    and those matches in the row order of ``contracting_tables``. An n
+    outside 1..``MAX_FILTER_N`` raises ``ValueError``."""
     ground = search_ground(n)
     tables = contracting_tables(ground)
     holds = decide_stack(tables, {name for name, _ in terms})

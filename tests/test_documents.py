@@ -7,6 +7,8 @@ import json
 import os
 import random
 import stat
+import sys
+import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -191,6 +193,30 @@ class TestLoaderErrors:
         doc["values"][1]["value"] = "25e-2"
         assert documents.from_document(doc).values[1] == Fraction(1, 4)
 
+    def test_exponent_bounded_by_its_value(self):
+        # underscores do not hide an exponent's size, leading zeros do not
+        # inflate it, and a value that loads can be written back; nothing
+        # large is built on the way
+        tracemalloc.start()
+        try:
+            for value in ("1e1_000_000", "1e2_000_000", "1e99_999_999", "-3E-1_0_000"):
+                with pytest.raises(DocumentError, match=r"^x: exponent too large in "):
+                    documents.load_rational(value, "x")
+            assert documents.load_rational("1e00001", "x") == 10
+            assert documents.load_rational("-25E-0002", "x") == Fraction(-1, 4)
+            try:
+                q = documents.load_rational("1e4999", "x")
+            except DocumentError as exc:
+                assert str(exc).startswith("x: not a rational: ") and "\n" not in str(exc)
+            else:
+                assert str(q) == "1" + "0" * 4999
+                digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                assert not 0 < digit_limit < 5000, "loaded a value the interpreter cannot write"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
     def test_setfn_missing_nonempty_subset(self):
         doc = get_fixture_document("submodular-counterexample")
         doc["values"] = [e for e in doc["values"] if e["subset"] != ["a"]]
@@ -215,6 +241,25 @@ class TestLoaderErrors:
         assert "'a'" in str(exc.value)
 
 
+def _keyed_row_faults():
+    """Lattice and lift documents whose rows keyed by element name are
+    wrong, each with the one line that refuses it."""
+    lattice_cf = get_fixture_document("divisors-12-lattice-cf")
+    lattice_cf["table"].append(["5", "1"])
+    lift = documents.to_document(economical_lift(get_fixture("overlapping-pairs-cf")))
+    unknown, duplicated, missing = copy.deepcopy(lift), copy.deepcopy(lift), copy.deepcopy(lift)
+    first, last = lift["phi"][0], lift["phi"][-1]
+    unknown["phi"].append(["nowhere", first[1]])
+    duplicated["phi"].append([first[0], last[1]])
+    del missing["phi"][-1]
+    return [
+        (lattice_cf, "table assigned to unknown element '5'"),
+        (unknown, "phi assigned to unknown element 'nowhere'"),
+        (duplicated, f"phi[{len(lift['phi'])}]: duplicate element {first[0]!r}"),
+        (missing, f"phi missing for {last[0]!r}"),
+    ]
+
+
 class TestMalformedCatalog:
     CASES = [
         {"kind": "choice_function", "ground": ["a"], "table": "nope"},
@@ -231,6 +276,7 @@ class TestMalformedCatalog:
         {"kind": "lattice_function", "lattice": {"elems": ["a"], "leq": []}, "values": [["a", "1"], ["a", "2"]]},
         {"stamp": {}, "document": 3},
         [],
+        *[doc for doc, _ in _keyed_row_faults()],
     ]
 
     @pytest.mark.parametrize("doc", CASES)
@@ -238,6 +284,40 @@ class TestMalformedCatalog:
         # malformed input must surface as a diagnosis, never a stray crash
         with pytest.raises(DocumentError):
             documents.from_document(doc)
+
+
+class TestKeyedRows:
+    """Rows keyed by element name (a lattice table, a lattice function's
+    values, a lift's phi) are read by one reader, which refuses a
+    duplicate, a missing and an unknown name, in that order."""
+
+    def test_faults_are_named(self):
+        for doc, message in _keyed_row_faults():
+            with pytest.raises(DocumentError) as exc:
+                documents.from_document(doc)
+            assert str(exc.value) == message
+
+    def test_verify_exits_two_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        for doc, message in _keyed_row_faults():
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert main(["verify", str(path)]) == 2
+            assert capsys.readouterr().out == f"input error: {message}\n"
+
+    def test_lattice_function_messages(self):
+        doc = documents.to_document(synthesize(get_fixture("divisors-12-lattice-cf")))
+        rows = doc["values"]
+        cases = [
+            ([*rows, [rows[1][0], "7"]], f"values[{len(rows)}]: duplicate element '2'"),
+            (rows[:-1], "values missing for '12'"),
+            ([*rows, ["5", "0"]], "values assigned to unknown element '5'"),
+            ([rows[0], rows[0], "late"], "values[1]: duplicate element '1'"),
+            ([["5", "0"], *rows[1:]], "values missing for '1'"),
+        ]
+        for values, message in cases:
+            with pytest.raises(DocumentError) as exc:
+                documents.from_document({**doc, "values": values})
+            assert str(exc.value) == message
 
 
 class TestPreorderFlag:

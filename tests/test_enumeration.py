@@ -17,6 +17,8 @@ from compchoice.enumeration import (
     iter_union_closed_families,
     random_complementary_cf,
     random_family,
+    search_custom,
+    search_ground,
     search_submodular_not_substitutable,
 )
 
@@ -140,6 +142,14 @@ class TestSearchSize:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
+
+    @pytest.mark.parametrize("n", [-1, 0, 4, 30])
+    def test_ground_and_custom_search_refuse_n(self, n):
+        message = rf"^the search supports 1 <= n <= 3, got {n}$"
+        with pytest.raises(ValueError, match=message):
+            search_ground(n)
+        with pytest.raises(ValueError, match=message):
+            search_custom(n, [("monotone", False)])
 
 
 class TestPreorders:
